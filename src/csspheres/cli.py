@@ -5,28 +5,19 @@ first counterexample is printed), 2 on usage or parameter errors.  All
 output is deterministic: facets and report lines are emitted in canonical
 order.  Every verification path is a thin wrapper over library operations.
 
-The environment variable CSSPHERES_ISO_BUDGET bounds the node count of
-isomorphism and automorphism searches (unset: unlimited).
+`iso` and `aut` take --budget to bound the node count of their searches
+(default: unlimited).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import builders, flips, iso, props, sew3, shelling
 from .core import face_key, fh_vectors, topology_report
 from .errors import CsspheresError
 from .fileio import ComplexFile, dumps, read_path, write_path
-
-
-def _iso_budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("CSSPHERES_ISO_BUDGET")
-    return int(env) if env else None
 
 
 def _emit(cf: ComplexFile, args) -> None:
@@ -129,12 +120,7 @@ def _verify_one(path: str, args) -> list[tuple[bool, str]]:
 
 
 def cmd_verify(args) -> int:
-    workers = max(1, args.threads)
-    if workers == 1 or len(args.files) == 1:
-        outcomes = [_verify_one(path, args) for path in args.files]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda p: _verify_one(p, args), args.files))
+    outcomes = [_verify_one(path, args) for path in args.files]
     all_ok = True
     for results in outcomes:
         for ok, line in results:
@@ -223,7 +209,7 @@ def cmd_iso(args) -> int:
         if not ok:
             print("not isomorphic")
             return 1
-    witness = iso.isomorphic(a, b, budget=_iso_budget(args))
+    witness = iso.isomorphic(a, b, budget=args.budget)
     if witness is None:
         print("not isomorphic (search exhausted)")
         return 1
@@ -235,7 +221,7 @@ def cmd_iso(args) -> int:
 
 def cmd_aut(args) -> int:
     c = read_path(args.file).complex
-    maps = iso.automorphisms(c, budget=_iso_budget(args))
+    maps = iso.automorphisms(c, budget=args.budget)
     print(f"automorphisms: {len(maps)}")
     for idx, m in enumerate(maps):
         print(f"# map {idx}")
@@ -282,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sphere", action="store_true")
     p.add_argument("--ball", action="store_true")
     p.add_argument("--stacked", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("census", help="edge-link census as tab-separated rows")

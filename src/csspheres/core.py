@@ -18,11 +18,10 @@ object and is safe to call concurrently.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
-
-import networkx as nx
+from math import comb
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     DimensionMismatch,
@@ -166,6 +165,14 @@ class Complex:
     def __contains__(self, face) -> bool:
         return self.has_face(face)
 
+    def _closure(self, card: int) -> set[Face]:
+        return {
+            sub
+            for f in self.facets
+            if len(f) >= card
+            for sub in itertools.combinations(f, card)
+        }
+
     def faces_of_card(self, card: int) -> frozenset[Face]:
         """All faces with `card` vertices, materialized from the facets."""
         key = ("card", card)
@@ -175,13 +182,7 @@ class Complex:
             elif card == 0:
                 self._cache[key] = frozenset([()]) if not self.is_void else frozenset()
             else:
-                found = {
-                    sub
-                    for f in self.facets
-                    if len(f) >= card
-                    for sub in itertools.combinations(f, card)
-                }
-                self._cache[key] = frozenset(found)
+                self._cache[key] = frozenset(self._closure(card))
         return self._cache[key]
 
     def iter_all_faces(self) -> Iterator[Face]:
@@ -195,20 +196,51 @@ class Complex:
             if self.is_void:
                 self._cache["f_counts"] = (0,)
             else:
-                d = self.dim
-                counts = [1]
-                for card in range(1, d + 2):
-                    # computed per cardinality and not cached: full closures
-                    # of the larger complexes would dominate memory
-                    found = {
-                        sub
-                        for f in self.facets
-                        if len(f) >= card
-                        for sub in itertools.combinations(f, card)
-                    }
-                    counts.append(len(found))
+                # counted per cardinality and not cached: full closures of
+                # the larger complexes would dominate memory
+                counts = [1] + [len(self._closure(card)) for card in range(1, self.dim + 2)]
                 self._cache["f_counts"] = tuple(counts)
         return self._cache["f_counts"]
+
+    def edge_incidence(self) -> Mapping[Face, tuple[int, int]]:
+        """Read-only map from every edge to (link vertex count, facet degree).
+
+        One pass over the facets, memoised: the link vertex count is the
+        number of vertices in the link of the edge, the facet degree the
+        number of facets that contain it.
+        """
+        if "edges" not in self._cache:
+            link_verts: dict[Face, set[int]] = {}
+            degree: dict[Face, int] = {}
+            for f in self.facets:
+                for e in itertools.combinations(f, 2):
+                    link_verts.setdefault(e, set()).update(f)
+                    degree[e] = degree.get(e, 0) + 1
+            self._cache["edges"] = MappingProxyType(
+                {e: (len(vs) - 2, degree[e]) for e, vs in link_verts.items()}
+            )
+        return self._cache["edges"]
+
+    def _ridge_map(self) -> dict[Face, list[Face]]:
+        """Facets of a pure complex grouped by their ridges.
+
+        Not cached: on the larger spheres it holds every ridge at once.
+        """
+        by_ridge: dict[Face, list[Face]] = {}
+        for f in self.facets:
+            for r in itertools.combinations(f, len(f) - 1):
+                by_ridge.setdefault(r, []).append(f)
+        return by_ridge
+
+    def memo(self, key: str, compute: Callable[["Complex"], object]):
+        """`compute(self)`, evaluated once per complex and kept under `key`.
+
+        For invariants defined outside this module.  The stored value is
+        shared: callers hand out copies or read-only views of it.
+        """
+        if key not in self._cache:
+            self._cache[key] = compute(self)
+        return self._cache[key]
 
     # ------------------------------------------------------------------
     # structural operations
@@ -276,14 +308,11 @@ class Complex:
             raise NotPure("boundary requires a pure complex")
         if self.is_void:
             return self
-        counts: Counter[Face] = Counter()
-        for f in self.facets:
-            for r in itertools.combinations(f, len(f) - 1):
-                counts[r] += 1
-        bad = [r for r, c in counts.items() if c > 2]
+        by_ridge = self._ridge_map()
+        bad = [r for r, fs in by_ridge.items() if len(fs) > 2]
         if bad:
-            raise RidgeInThreeFacets(f"ridge {bad[0]} lies in {counts[bad[0]]} facets")
-        return Complex([r for r, c in counts.items() if c == 1], self.ambient_n)
+            raise RidgeInThreeFacets(f"ridge {bad[0]} lies in {len(by_ridge[bad[0]])} facets")
+        return Complex([r for r, fs in by_ridge.items() if len(fs) == 1], self.ambient_n)
 
     def antipode(self) -> "Complex":
         """Image under the involution v -> -v."""
@@ -369,20 +398,11 @@ class FHVectors:
     h: tuple[int, ...]  # h_0 .. h_{d+1}
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for j in range(k):
-        out = out * (n - j) // (j + 1)
-    return out
-
-
 def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
     """h-vector from (f_-1, ..., f_d) via sum_i h_i t^{d+1-i} = sum_i f_{i-1}(t-1)^{d+1-i}."""
     d = len(f) - 2
     return tuple(
-        sum((-1) ** (j - i) * _binom(d + 1 - i, j - i) * f[i] for i in range(j + 1))
+        sum((-1) ** (j - i) * comb(d + 1 - i, j - i) * f[i] for i in range(j + 1))
         for j in range(d + 2)
     )
 
@@ -391,7 +411,7 @@ def f_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse of h_from_f."""
     d = len(h) - 2
     return tuple(
-        sum(_binom(d + 1 - i, j - i) * h[i] for i in range(j + 1)) for j in range(d + 2)
+        sum(comb(d + 1 - i, j - i) * h[i] for i in range(j + 1)) for j in range(d + 2)
     )
 
 
@@ -403,20 +423,19 @@ def fh_vectors(c: Complex) -> FHVectors:
     return FHVectors(f=f, h=h_from_f(f))
 
 
-def facet_ridge_graph(c: Complex) -> nx.Graph:
-    """Graph on the facets of a pure complex, adjacent when sharing a ridge."""
+def facet_ridge_graph(c: Complex) -> dict[Face, tuple[Face, ...]]:
+    """Adjacency of the facets of a pure complex, adjacent when sharing a ridge.
+
+    Keys and each neighbour tuple follow the canonical facet order.
+    """
     if not c.is_pure:
         raise NotPure("facet-ridge graph requires a pure complex")
-    g = nx.Graph()
-    g.add_nodes_from(c.sorted_facets())
-    by_ridge: dict[Face, list[Face]] = {}
-    for f in c.sorted_facets():
-        for r in itertools.combinations(f, len(f) - 1):
-            by_ridge.setdefault(r, []).append(f)
-    for group in by_ridge.values():
+    adjacency: dict[Face, list[Face]] = {f: [] for f in c.sorted_facets()}
+    for group in c._ridge_map().values():
         for a, b in itertools.combinations(group, 2):
-            g.add_edge(a, b)
-    return g
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    return {f: tuple(sorted(nbs, key=face_key)) for f, nbs in adjacency.items()}
 
 
 @dataclass(frozen=True)
@@ -509,13 +528,10 @@ def topology_report(c: Complex) -> TopologyReport:
     connected = _is_connected(c)
     closed = False
     if pure and not c.is_void and c.dim >= 0:
-        counts: Counter[Face] = Counter()
-        for f in c.facets:
-            for r in itertools.combinations(f, len(f) - 1):
-                counts[r] += 1
-        closed = all(v == 2 for v in counts.values())
         if c.dim == 0:
             closed = len(c.facets) == 2
+        else:
+            closed = all(len(fs) == 2 for fs in c._ridge_map().values())
     f = c.f_counts()
     euler = sum((-1) ** i * fi for i, fi in enumerate(f[1:]))
     return TopologyReport(

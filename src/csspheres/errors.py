@@ -55,10 +55,6 @@ class ClosedComplex(CsspheresError, ValueError):
     """Stackedness asked of a complex with empty boundary."""
 
 
-class FaceMissing(CsspheresError, ValueError):
-    """Bistellar flip: the face to remove is not in the complex."""
-
-
 class FacePresent(CsspheresError, ValueError):
     """Bistellar flip: the face to insert is already in the complex."""
 

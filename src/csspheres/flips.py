@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .core import Complex, Face, antipode_face, canon_face
 from .errors import (
-    FaceMissing,
+    FaceNotPresent,
     FacePresent,
     IndexOutOfRange,
     InvalidParameters,
@@ -24,23 +24,24 @@ from .errors import (
 from .builders import build_delta
 
 
-def bistellar_flip(c: Complex, a: Iterable[int], b: Iterable[int]) -> Complex:
-    """Single bistellar flip removing face `a` and introducing face `b`."""
-    a = canon_face(a)
-    b = canon_face(b)
+def _flip_edit(c: Complex, a: Face, b: Face) -> tuple[set[Face], set[Face]]:
+    """The star of `a` and the facets replacing it, once the flip is validated."""
     if not c.has_face(a):
-        raise FaceMissing(f"face {a} not in complex")
+        raise FaceNotPresent(f"face {a} not in complex")
     if c.has_face(b):
         raise FacePresent(f"face {b} already in complex")
-    link = c.link(a)
-    expected = frozenset(
-        tuple(v for v in b if v != drop) for drop in b
-    )
-    if link.facets != expected:
+    expected = frozenset(tuple(v for v in b if v != drop) for drop in b)
+    if c.link(a).facets != expected:
         raise LinkMismatch(f"link of {a} is not the boundary of the simplex on {b}")
-    star_facets = {f for f in c.facets if set(a) <= set(f)}
+    star = {f for f in c.facets if set(a) <= set(f)}
     replacement = {canon_face(tuple(v for v in a if v != drop) + b) for drop in a}
-    return Complex((c.facets - star_facets) | replacement, c.ambient_n)
+    return star, replacement
+
+
+def bistellar_flip(c: Complex, a: Iterable[int], b: Iterable[int]) -> Complex:
+    """Single bistellar flip removing face `a` and introducing face `b`."""
+    star, replacement = _flip_edit(c, canon_face(a), canon_face(b))
+    return Complex((c.facets - star) | replacement, c.ambient_n)
 
 
 @dataclass(frozen=True)
@@ -117,17 +118,9 @@ def build_gamma(k: int, n: int, indices: Iterable[int]) -> Complex:
     for i in plan.indices:
         pair = fg_pair(k, i)
         for face_a, face_b in ((pair.f, pair.g), (antipode_face(pair.f), antipode_face(pair.g))):
-            if delta.has_face(face_b):
-                raise FacePresent(f"face {face_b} already present, flip {i} inadmissible")
-            link = delta.link(face_a)
-            expected = frozenset(tuple(v for v in face_b if v != drop) for drop in face_b)
-            if link.facets != expected:
-                raise LinkMismatch(f"link of {face_a} is not the simplex boundary on {face_b}")
-            star = {f for f in delta.facets if set(face_a) <= set(f)}
+            star, replacement = _flip_edit(delta, face_a, face_b)
             if star & removed:
                 raise SharedFacets(f"star of {face_a} overlaps an earlier flip")
             removed |= star
-            added |= {
-                canon_face(tuple(v for v in face_a if v != drop) + face_b) for drop in face_a
-            }
+            added |= replacement
     return Complex((delta.facets - removed) | added, n)

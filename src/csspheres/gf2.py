@@ -8,7 +8,7 @@ runs at C speed.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
@@ -25,15 +25,3 @@ def gf2_rank(rows: Iterable[int]) -> int:
                 break
             row ^= pivot
     return rank
-
-
-def pack_rows(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Bit-pack a dense 0/1 row-major matrix for gf2_rank."""
-    rows = []
-    for r in matrix:
-        mask = 0
-        for j, v in enumerate(r):
-            if v:
-                mask |= 1 << j
-        rows.append(mask)
-    return rows

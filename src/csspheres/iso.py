@@ -14,9 +14,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 from .core import Complex, Face, canon_face, fh_vectors, vertex_key
 from .errors import SearchBudgetExceeded
+from .props import is_cs
 
 VertexMap = dict[int, int]
 
@@ -30,57 +32,28 @@ class Fingerprint:
     link_f: tuple[int, ...]
 
 
-def _edge_census(c: Complex) -> dict[Face, int]:
-    verts: dict[Face, set[int]] = {}
-    for f in c.facets:
-        for e in itertools.combinations(f, 2):
-            verts.setdefault(e, set()).update(v for v in f if v not in e)
-    return {e: len(vs) for e, vs in verts.items()}
+def _fingerprints(c: Complex) -> dict[int, Fingerprint]:
+    incident: dict[int, list[int]] = {v: [] for v in c.vertices()}
+    for e, (size, _) in c.edge_incidence().items():
+        for v in e:
+            incident[v].append(size)
+    return {
+        v: Fingerprint(
+            degree=len(sizes),
+            incident_link_sizes=tuple(sorted(sizes)),
+            link_f=fh_vectors(c.link((v,))).f,
+        )
+        for v, sizes in incident.items()
+    }
 
 
 def vertex_fingerprints(c: Complex) -> dict[int, Fingerprint]:
-    """Deterministic fingerprint for every vertex of `c`."""
-    census = _edge_census(c)
-    incident: dict[int, list[int]] = {v: [] for v in c.vertices()}
-    for e, size in census.items():
-        for v in e:
-            incident[v].append(size)
-    out = {}
-    for v in c.vertices():
-        link_f = fh_vectors(c.link((v,))).f
-        out[v] = Fingerprint(
-            degree=sum(1 for e in census if v in e),
-            incident_link_sizes=tuple(sorted(incident[v])),
-            link_f=link_f,
-        )
-    return out
+    """Deterministic fingerprint for every vertex of `c`, memoised per complex."""
+    return dict(c.memo("iso.fingerprints", _fingerprints))
 
 
 def _pair_key(u: int, v: int) -> Face:
     return tuple(sorted((u, v), key=vertex_key))
-
-
-def _is_cs_2_neighborly(c: Complex) -> bool:
-    """cs with every non-antipodal vertex pair an edge (intrinsic, no ground set)."""
-    verts = set(c.vertices())
-    if not verts or any(-v not in verts for v in verts):
-        return False
-    for f in c.facets:
-        if len({abs(v) for v in f}) != len(f):
-            return False
-        if canon_face([-v for v in f]) not in c.facets:
-            return False
-    edges = c.faces_of_card(2)
-    n_pairs = len(verts) * (len(verts) - 1) // 2 - len(verts) // 2
-    return len(edges) == n_pairs
-
-
-def _pair_facet_degrees(c: Complex) -> dict[Face, int]:
-    deg: Counter[Face] = Counter()
-    for f in c.facets:
-        for e in itertools.combinations(f, 2):
-            deg[e] += 1
-    return dict(deg)
 
 
 def _triangle_profile(c: Complex) -> dict[int, tuple]:
@@ -96,44 +69,50 @@ def _triangle_profile(c: Complex) -> dict[int, tuple]:
     return {v: tuple(sorted(cnt.items())) for v, cnt in per_vertex.items()}
 
 
+def _vertex_classes(c: Complex) -> dict[int, tuple]:
+    """Refined vertex classes for the search.
+
+    Fingerprint plus incident (link size, facet degree) pairs plus incident
+    triangle degrees.  Purely invariant, so restricting candidate images to
+    equal classes is sound.
+    """
+    fps = vertex_fingerprints(c)
+    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in c.vertices()}
+    for e, sizes in c.edge_incidence().items():
+        for v in e:
+            incident[v].append(sizes)
+    tri = _triangle_profile(c)
+    return {v: (fps[v], tuple(sorted(incident[v])), tri[v]) for v in c.vertices()}
+
+
+def _census_multiset(c: Complex) -> Counter:
+    return Counter(size for size, _ in c.edge_incidence().values())
+
+
 class _Search:
     def __init__(self, a: Complex, b: Complex, budget: int | None):
         self.a, self.b = a, b
         self.budget = budget
         self.nodes = 0
-        self.fa = vertex_fingerprints(a)
-        self.fb = vertex_fingerprints(b)
-        self.ca = _edge_census(a)
-        self.cb = _edge_census(b)
-        self.da = _pair_facet_degrees(a)
-        self.db = _pair_facet_degrees(b)
-        # Refined vertex classes: fingerprint plus incident (link size, facet
-        # degree) pairs plus incident triangle degrees.  Purely invariant, so
-        # restricting candidate images to equal classes is sound.
-        tri_a, tri_b = _triangle_profile(a), _triangle_profile(b)
-        self.ka = {
-            v: (self.fa[v], self._incident_profile(v, self.ca, self.da), tri_a[v])
-            for v in a.vertices()
-        }
-        self.kb = {
-            v: (self.fb[v], self._incident_profile(v, self.cb, self.db), tri_b[v])
-            for v in b.vertices()
-        }
-        self.antipodal = _is_cs_2_neighborly(a) and _is_cs_2_neighborly(b)
+        self.ka = a.memo("iso.classes", _vertex_classes)
+        self.kb = b.memo("iso.classes", _vertex_classes)
+        self.ea, self.eb = a.edge_incidence(), b.edge_incidence()
+        # cs with an edge on every non-antipodal vertex pair: the unique
+        # non-neighbour of each vertex is its antipode
+        self.antipodal = all(
+            is_cs(c) and len(c.edge_incidence()) == comb(len(c.vertices()), 2) - len(c.vertices()) // 2
+            for c in (a, b)
+        )
         d = a.dim
         fcounts = a.f_counts()
         self.prune_cards = [
             t
             for t in range(2, min(d + 1, 4) + 1)
-            if t < len(fcounts) and fcounts[t] < _choose(len(a.vertices()), t)
+            if t < len(fcounts) and fcounts[t] < comb(len(a.vertices()), t)
         ]
         self.faces_a = {t: a.faces_of_card(t) for t in self.prune_cards}
         self.faces_b = {t: b.faces_of_card(t) for t in self.prune_cards}
         self.facets_b = b.facets
-
-    @staticmethod
-    def _incident_profile(v: int, census: dict[Face, int], degrees: dict[Face, int]) -> tuple:
-        return tuple(sorted((census[e], degrees[e]) for e in census if v in e))
 
     def order_and_domains(self) -> tuple[list[int], dict[int, list[int]]]:
         class_sizes = Counter(self.ka.values())
@@ -150,7 +129,7 @@ class _Search:
     def _consistent(self, mapping: VertexMap, assigned: list[int], v: int, w: int) -> bool:
         for u in assigned:
             pa, pb = _pair_key(u, v), _pair_key(mapping[u], w)
-            if self.ca.get(pa) != self.cb.get(pb) or self.da.get(pa) != self.db.get(pb):
+            if self.ea.get(pa) != self.eb.get(pb):
                 return False
         for t in self.prune_cards:
             if t - 1 > len(assigned):
@@ -214,23 +193,12 @@ class _Search:
         return results
 
 
-def _choose(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for j in range(k):
-        out = out * (n - j) // (j + 1)
-    return out
-
-
 def necessary_conditions(a: Complex, b: Complex) -> list[tuple[str, bool]]:
     """Cheap isomorphism invariants compared in order; any False settles it."""
     checks = [("f-vector", fh_vectors(a).f == fh_vectors(b).f)]
     fa, fb = vertex_fingerprints(a), vertex_fingerprints(b)
     checks.append(("fingerprint multiset", Counter(fa.values()) == Counter(fb.values())))
-    checks.append(
-        ("edge-link census multiset", Counter(_edge_census(a).values()) == Counter(_edge_census(b).values()))
-    )
+    checks.append(("edge-link census multiset", _census_multiset(a) == _census_multiset(b)))
     return checks
 
 

@@ -224,16 +224,12 @@ def edge_link_census(
     """
     if c.is_void or c.dim < 2:
         raise InvalidParameters("edge_link_census requires dim >= 2")
-    verts: dict[Face, set[int]] = {}
-    star_facets: dict[Face, list[Face]] = {}
-    for f in c.facets:
-        for e in itertools.combinations(f, 2):
-            rest = [v for v in f if v not in e]
-            verts.setdefault(e, set()).update(rest)
-            if keep_links:
-                star_facets.setdefault(e, []).append(tuple(rest))
-    census = {e: len(vs) for e, vs in verts.items()}
+    census = {e: size for e, (size, _) in c.edge_incidence().items()}
     if keep_links:
+        star_facets: dict[Face, list[Face]] = {}
+        for f in c.facets:
+            for e in itertools.combinations(f, 2):
+                star_facets.setdefault(e, []).append(tuple(v for v in f if v not in e))
         links = {e: Complex(fs, c.ambient_n) for e, fs in star_facets.items()}
         return census, links
     return census

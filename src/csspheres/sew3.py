@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Hashable, Iterable, Mapping
 
 from .builders import build_delta, sew
 from .core import Complex, Face, canon_face, face_key
@@ -73,12 +72,6 @@ class FacetTree:
     source: IndexSet
     nodes: tuple[Face, ...]
     edges: tuple[tuple[Face, Face], ...]
-
-    def to_nx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(self.edges)
-        return g
 
     def edge_list_text(self) -> str:
         """One edge per line, endpoints as comma-joined facet labels."""
@@ -168,8 +161,8 @@ def build_T(index_set: IndexSet) -> FacetTree:
     assert len(nodes) == 2 * n - 3, f"expected {2 * n - 3} nodes, got {len(nodes)}"
     for a, b in edges:
         assert len(set(a) & set(b)) == 3, f"tree edge {a}-{b} shares no ridge"
-    graph = nx.Graph(edges)
-    assert nx.is_tree(graph) and graph.number_of_nodes() == len(nodes)
+    adjacency = _adjacency(nodes, edges)
+    assert len(adjacency) == len(nodes) == len(edges) + 1 and _connected(adjacency)
 
     order = sorted(nodes, key=face_key)
     canon_edges = tuple(
@@ -188,6 +181,25 @@ def build_delta_I(index_set: IndexSet) -> Complex:
     """The cs 3-sphere on V_{n+1} obtained by sewing ±B(I) out of the base sphere."""
     n = index_set.n
     return sew(build_delta(3, n), build_B_I(index_set), n + 1)
+
+
+def _adjacency(nodes: Iterable[Hashable], edges: Iterable[tuple]) -> dict[Hashable, list]:
+    adjacency: dict[Hashable, list] = {v: [] for v in nodes}
+    for a, b in edges:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    return adjacency
+
+
+def _connected(adjacency: Mapping) -> bool:
+    start = next(iter(adjacency))
+    seen, stack = {start}, [start]
+    while stack:
+        for nb in adjacency[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(adjacency)
 
 
 def _ahu_code(adj: dict, root, parent) -> str:
@@ -218,22 +230,26 @@ def _center(adj: dict) -> list:
     return [v for v in adj if v not in removed]
 
 
-def tree_canonical_code(tree: nx.Graph) -> str:
+def tree_canonical_code(tree: Mapping) -> str:
     """Least rooted encoding over the center rootings (unlabeled invariant).
 
-    The center (one or two middle vertices) is preserved by isomorphisms, so
-    equal codes characterize isomorphic trees.
+    `tree` maps every node to an iterable of its neighbours.  The center
+    (one or two middle vertices) is preserved by isomorphisms, so equal
+    codes characterize isomorphic trees.
     """
-    if tree.number_of_nodes() == 0:
+    if len(tree) == 0:
         return ""
-    adj = {v: sorted(tree.neighbors(v)) for v in tree.nodes}
+    adj = {v: sorted(tree[v]) for v in tree}
     return min(_ahu_code(adj, c, None) for c in _center(adj))
 
 
-def tree_isomorphic(t1: FacetTree | nx.Graph, t2: FacetTree | nx.Graph) -> bool:
-    """Unlabeled tree isomorphism via canonical centroid-rooted encodings."""
-    g1 = t1.to_nx() if isinstance(t1, FacetTree) else t1
-    g2 = t2.to_nx() if isinstance(t2, FacetTree) else t2
-    if g1.number_of_nodes() != g2.number_of_nodes():
+def tree_isomorphic(t1: FacetTree | Mapping, t2: FacetTree | Mapping) -> bool:
+    """Unlabeled tree isomorphism via canonical centroid-rooted encodings.
+
+    Each tree is a FacetTree or a mapping from every node to its neighbours.
+    """
+    g1 = _adjacency(t1.nodes, t1.edges) if isinstance(t1, FacetTree) else t1
+    g2 = _adjacency(t2.nodes, t2.edges) if isinstance(t2, FacetTree) else t2
+    if len(g1) != len(g2):
         return False
     return tree_canonical_code(g1) == tree_canonical_code(g2)

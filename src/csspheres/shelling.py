@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .builders import build_B
-from .core import Complex, Face, antipode_face, canon_face, face_key, facet_ridge_graph
+from .core import Complex, Face, antipode_face, canon_face, facet_ridge_graph
 from .errors import InvalidParameters, NotPermutation, NotPure
 
 
@@ -75,7 +75,7 @@ def _b31_block(n: int) -> list[Face]:
     queue = [root]
     while queue:
         current = queue.pop(0)
-        for nb in sorted(graph.neighbors(current), key=face_key):
+        for nb in graph[current]:
             if nb not in seen:
                 seen.add(nb)
                 order.append(nb)

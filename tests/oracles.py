@@ -21,6 +21,23 @@ def closure(facets) -> set[tuple[int, ...]]:
     return out
 
 
+def coface_counts(facets, card: int) -> dict[tuple[int, ...], int]:
+    """For every face with `card` vertices, how many vertices extend it to a face.
+
+    At card 2 this is the edge-link census: the link of an edge has one
+    vertex per extending vertex.  At card d of a pure d-complex it is the
+    number of facets on each ridge.
+    """
+    faces = closure(facets)
+    sets = {frozenset(f) for f in faces}
+    verts = {f[0] for f in faces if len(f) == 1}
+    return {
+        f: sum(1 for v in verts if v not in f and frozenset(f) | {v} in sets)
+        for f in faces
+        if len(f) == card
+    }
+
+
 def f_vector(facets) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_d) by explicit downward closure."""
     faces = closure(facets)
@@ -106,3 +123,15 @@ def brute_force_automorphisms(facets, vertices) -> list[dict]:
         if {frozenset(mapping[v] for v in f) for f in facets} == target:
             out.append(mapping)
     return out
+
+
+def pack_rows(matrix) -> list[int]:
+    """Bit-pack a dense 0/1 row-major matrix for gf2_rank."""
+    rows = []
+    for r in matrix:
+        mask = 0
+        for j, v in enumerate(r):
+            if v:
+                mask |= 1 << j
+        rows.append(mask)
+    return rows

@@ -212,7 +212,7 @@ def test_squeezed_ball():
 
     from csspheres.core import facet_ridge_graph
 
-    g = facet_ridge_graph(squeezed_ball(2, 5))
+    g = nx.Graph(facet_ridge_graph(squeezed_ball(2, 5)))
     assert nx.is_connected(g) and g.number_of_nodes() == 3
 
 

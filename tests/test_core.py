@@ -204,13 +204,13 @@ def test_fh_oracle_against_closure(d, n):
 
 
 def test_facet_ridge_graph():
-    g = facet_ridge_graph(cross_polytope(2))
+    g = nx.Graph(facet_ridge_graph(cross_polytope(2)))
     assert g.number_of_nodes() == 4 and nx.is_connected(g)
     assert sorted(dict(g.degree).values()) == [2, 2, 2, 2]  # a 4-cycle
     for n in (5, 7, 9):
-        gb = facet_ridge_graph(build_B(3, 1, n))
+        gb = nx.Graph(facet_ridge_graph(build_B(3, 1, n)))
         assert nx.is_tree(gb) and gb.number_of_nodes() == 2 * n - 3
-    lone = facet_ridge_graph(simplex([1, 2, 3], 3))
+    lone = nx.Graph(facet_ridge_graph(simplex([1, 2, 3], 3)))
     assert lone.number_of_nodes() == 1 and lone.number_of_edges() == 0
     with pytest.raises(NotPure):
         facet_ridge_graph(Complex([(1, 2, 3), (4,)], 4))
@@ -230,6 +230,9 @@ def test_topology_report():
     # S^0: two points
     assert topology_report(Complex([(1,), (-1,)], 1)).closed_pseudomanifold
     assert not topology_report(Complex([(1,), (-1,), (2,)], 2)).closed_pseudomanifold
+    # theta graph: every vertex lies in two or more edges, vertices 1 and 2 in three
+    theta = Complex([(1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5)], 5)
+    assert not topology_report(theta).closed_pseudomanifold
 
 
 def test_torus_betti_distinguishes_nonspheres():
@@ -253,7 +256,8 @@ def test_dehn_sommerville_for_spheres():
 
 
 def test_gf2_rank_small_cases():
-    from csspheres.gf2 import gf2_rank, pack_rows
+    from csspheres.gf2 import gf2_rank
+    from oracles import pack_rows
 
     assert gf2_rank([]) == 0
     assert gf2_rank([0b1, 0b10, 0b100]) == 3

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import csspheres
 from csspheres.builders import build_delta, build_lambda, cross_polytope
 from csspheres.cli import main
 from csspheres.core import Complex
@@ -87,14 +92,14 @@ def test_cli_build_verify(tmp_path, capsys):
     assert main(["verify", str(out), "--neighborly", "3"]) == 1
 
 
-def test_cli_verify_threads(tmp_path, capsys):
+def test_cli_verify_several_files(tmp_path, capsys):
     paths = []
     for n in (6, 7):
         p = tmp_path / f"d3{n}.json"
         main(["build", "delta", "--d", "3", "--n", str(n), "--out", str(p)])
         paths.append(str(p))
     capsys.readouterr()
-    assert main(["verify", *paths, "--cs", "--threads", "2"]) == 0
+    assert main(["verify", *paths, "--cs"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 2
 
@@ -219,3 +224,17 @@ def test_cli_build_missing_params(tmp_path):
     assert main(["build", "ball", "--d", "3", "--n", "6"]) == 2
     assert main(["build", "delta", "--n", "6"]) == 2
     assert main(["build", "squeezed", "--n", "6"]) == 2
+
+
+def test_cli_import_leaves_networkx_out():
+    code = "import sys, csspheres.cli; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(csspheres.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_cli_ignores_iso_budget_environment(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "d37.json"
+    assert main(["build", "delta", "--d", "3", "--n", "7", "--out", str(path)]) == 0
+    monkeypatch.setenv("CSSPHERES_ISO_BUDGET", "abc")
+    assert main(["aut", str(path), "--expect", "2"]) == 0

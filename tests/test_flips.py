@@ -7,7 +7,7 @@ import pytest
 from csspheres.builders import build_delta
 from csspheres.core import simplex, suspension, topology_report
 from csspheres.errors import (
-    FaceMissing,
+    FaceNotPresent,
     FacePresent,
     IndexOutOfRange,
     InvalidParameters,
@@ -31,7 +31,7 @@ def test_bistellar_flip_errors():
     bd = simplex([1, 2, 3, 4], 4).boundary()
     with pytest.raises(FacePresent):
         bistellar_flip(bd, (1,), (2, 3, 4))
-    with pytest.raises(FaceMissing):
+    with pytest.raises(FaceNotPresent):
         bistellar_flip(bd, (1, 2, 3, 4), (1, 2))
     bp = suspension(simplex([1, 2, 3], 6).boundary(), (4, 5))
     with pytest.raises(LinkMismatch):

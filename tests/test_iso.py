@@ -9,6 +9,7 @@ import pytest
 from csspheres.builders import build_B, build_delta, build_lambda, cross_polytope
 from csspheres.core import Complex, simplex, suspension
 from csspheres.errors import SearchBudgetExceeded
+from csspheres.props import edge_link_census
 from csspheres.iso import (
     antipodal_map,
     apply_vertex_map,
@@ -136,3 +137,32 @@ def test_degenerate_inputs():
     assert automorphisms(Complex([], 3)) == [{}]
     assert isomorphic(Complex([], 3), Complex([], 5)) == {}
     assert isomorphic(Complex([[]], 3), Complex([], 3)) is None
+
+
+def test_second_isomorphic_call_makes_no_link_calls(monkeypatch):
+    # fresh objects, so no invariant is memoised from an earlier test
+    a = Complex(build_delta(3, 8).facets, 8)
+    b = a.relabel(lambda v: -v if abs(v) % 3 == 0 else v, 8)
+    calls = []
+    original = Complex.link
+
+    def counted(self, face):
+        calls.append(face)
+        return original(self, face)
+
+    monkeypatch.setattr(Complex, "link", counted)
+    assert isomorphic(a, b) is not None
+    first = len(calls)
+    assert first > 0
+    assert isomorphic(a, b) is not None
+    assert len(calls) == first
+
+
+def test_memoised_invariants_are_handed_out_read_only():
+    c = Complex(build_delta(3, 7).facets, 7)
+    vertex_fingerprints(c).clear()
+    assert len(vertex_fingerprints(c)) == 14
+    edge_link_census(c).clear()
+    assert len(edge_link_census(c)) == 2 * 7 * 6
+    with pytest.raises(TypeError):
+        c.edge_incidence()[(1, 2)] = (0, 0)

@@ -14,8 +14,9 @@ from csspheres.builders import (
     cross_polytope,
     lambda_ground,
 )
-from csspheres.core import Complex, canon_face, simplex
+from csspheres.core import Complex, canon_face, simplex, topology_report
 from csspheres.errors import ClosedComplex, InvalidParameters, OddCardinality
+from csspheres.flips import build_gamma
 from csspheres.props import (
     census_at_least,
     cs_neighborliness,
@@ -27,6 +28,8 @@ from csspheres.props import (
     is_subcomplex,
     stackedness,
 )
+
+from oracles import coface_counts
 
 
 def test_is_cs():
@@ -234,3 +237,29 @@ def test_only_special_edges_have_large_cs_links():
             canon_face((-n + 1, -n)),
         }
         assert set(hits) == expected, n
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_delta(3, 8),
+        lambda: build_delta(4, 7),
+        lambda: build_B(3, 1, 8),
+        lambda: build_gamma(3, 12, [3]),
+        lambda: build_delta(1, 6),  # dim < 2: only the edge pass isomorphism search uses
+    ],
+    ids=["delta38", "delta47", "B318", "gamma3_12_3", "delta16"],
+)
+def test_edge_and_ridge_passes_match_closure_oracle(build):
+    c = build()
+    census = coface_counts(c.facets, 2)
+    degrees = {e: sum(1 for f in c.facets if set(e) <= set(f)) for e in census}
+    assert dict(c.edge_incidence()) == {e: (census[e], degrees[e]) for e in census}
+    if c.dim >= 2:
+        assert edge_link_census(c) == census
+    else:
+        with pytest.raises(InvalidParameters):
+            edge_link_census(c)
+    ridges = coface_counts(c.facets, c.dim)
+    assert c.boundary().facets == {r for r, k in ridges.items() if k == 1}
+    assert topology_report(c).closed_pseudomanifold == all(k == 2 for k in ridges.values())
