@@ -120,7 +120,8 @@ def sew(gamma: Complex, ball: Complex, new_vertex: int) -> Complex:
     new_facets = set(gamma.facets) - ball.facets - neg.facets
     new_facets.update(f + (new_vertex,) for f in rim.facets)
     new_facets.update(antipode_face(f) + (-new_vertex,) for f in rim.facets)
-    return Complex(new_facets, new_vertex)
+    # |new_vertex| exceeds every old label, so appending it keeps faces canonical
+    return Complex._derived(new_facets, new_vertex)
 
 
 def build_lambda(d: int, n: int, normalize: bool = False) -> Complex:

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import builders, flips, iso, props, sew3, shelling
-from .core import face_key, fh_vectors, topology_report
+from .core import face_key, fh_vectors, topology_report, vertex_key
 from .errors import CsspheresError
 from .fileio import ComplexFile, dumps, read_path, write_path
 
@@ -214,7 +214,7 @@ def cmd_iso(args) -> int:
         print("not isomorphic (search exhausted)")
         return 1
     print("isomorphic; witness map:")
-    for v in sorted(witness, key=lambda x: (abs(x), x < 0)):
+    for v in sorted(witness, key=vertex_key):
         print(f"{v}\t{witness[v]}")
     return 0
 
@@ -225,7 +225,7 @@ def cmd_aut(args) -> int:
     print(f"automorphisms: {len(maps)}")
     for idx, m in enumerate(maps):
         print(f"# map {idx}")
-        for v in sorted(m, key=lambda x: (abs(x), x < 0)):
+        for v in sorted(m, key=vertex_key):
             print(f"{v}\t{m[v]}")
     if args.expect is not None and len(maps) != args.expect:
         print(f"FAIL expected {args.expect} automorphisms, found {len(maps)}")
@@ -327,10 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CsspheresError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CsspheresError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,15 +50,23 @@ def face_key(face: Iterable[int]) -> tuple[tuple[int, bool], ...]:
     return tuple(vertex_key(v) for v in face)
 
 
+def sort_face(vertices: Iterable[int]) -> Face:
+    """Canonical order (that of ``key=vertex_key``) of distinct labels, unchecked:
+    descending puts v before -v, and the stable sort by |v| keeps that."""
+    return tuple(sorted(sorted(vertices, reverse=True), key=abs))
+
+
 def canon_face(vertices: Iterable[int]) -> Face:
     """Return the canonical tuple form of a face.
 
-    Raises InvalidParameters on a zero or repeated label.
+    Raises InvalidParameters on a label that is not a nonzero integer (bool
+    included) and on a repeated label.
     """
-    face = tuple(sorted(vertices, key=vertex_key))
+    face = tuple(vertices)
     for v in face:
-        if not isinstance(v, int) or v == 0:
+        if type(v) is not int or v == 0:
             raise InvalidParameters(f"vertex labels must be nonzero integers, got {v!r}")
+    face = sort_face(face)
     if len(set(face)) != len(face):
         raise InvalidParameters(f"repeated vertex in face {face}")
     return face
@@ -66,7 +74,7 @@ def canon_face(vertices: Iterable[int]) -> Face:
 
 def antipode_face(face: Iterable[int]) -> Face:
     """Negate every label of a face and restore canonical order."""
-    return tuple(sorted((-v for v in face), key=vertex_key))
+    return sort_face(-v for v in face)
 
 
 class Complex:
@@ -79,7 +87,7 @@ class Complex:
     __slots__ = ("ambient_n", "facets", "_cache")
 
     def __init__(self, facets: Iterable[Iterable[int]], ambient_n: int):
-        if not isinstance(ambient_n, int) or ambient_n < 0:
+        if type(ambient_n) is not int or ambient_n < 0:
             raise InvalidParameters(f"ambient_n must be a nonnegative integer, got {ambient_n!r}")
         canon = {canon_face(f) for f in facets}
         for face in canon:
@@ -98,9 +106,21 @@ class Complex:
                     kept.append(fs)
                     maximal.add(face)
             canon = maximal
+        self._assign(frozenset(canon), ambient_n)
+
+    def _assign(self, facets: frozenset[Face], ambient_n: int) -> None:
         object.__setattr__(self, "ambient_n", ambient_n)
-        object.__setattr__(self, "facets", frozenset(canon))
+        object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "_cache", {})
+
+    @classmethod
+    def _derived(cls, facets: Iterable[Face], ambient_n: int) -> "Complex":
+        """Trusted constructor for facets that are a canonical antichain within
+        `ambient_n` by construction: no canonicalisation, bound check or
+        antichain reduction."""
+        c = object.__new__(cls)
+        c._assign(frozenset(facets), ambient_n)
+        return c
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Complex is immutable")
@@ -253,7 +273,7 @@ class Complex:
             raise FaceNotPresent(f"face {face} not in complex")
         fs = frozenset(face)
         new_facets = [tuple(v for v in f if v not in fs) for f in self.facets if fs <= set(f)]
-        return Complex(new_facets, self.ambient_n)
+        return Complex._derived(new_facets, self.ambient_n)
 
     def star(self, face: Iterable[int]) -> "Complex":
         """Subcomplex generated by the facets containing `face`."""
@@ -261,7 +281,7 @@ class Complex:
         if not self.has_face(face):
             raise FaceNotPresent(f"face {face} not in complex")
         fs = frozenset(face)
-        return Complex([f for f in self.facets if fs <= set(f)], self.ambient_n)
+        return Complex._derived([f for f in self.facets if fs <= set(f)], self.ambient_n)
 
     def join(self, other: "Complex") -> "Complex":
         """Pairwise unions of facets; vertex sets must be disjoint."""
@@ -300,7 +320,7 @@ class Complex:
             raise DimensionMismatch(
                 f"difference requires equal dimensions, got {self.dim} and {other.dim}"
             )
-        return Complex(self.facets - other.facets, self.ambient_n)
+        return Complex._derived(self.facets - other.facets, self.ambient_n)
 
     def boundary(self) -> "Complex":
         """Complex generated by the ridges lying in exactly one facet."""
@@ -312,11 +332,11 @@ class Complex:
         bad = [r for r, fs in by_ridge.items() if len(fs) > 2]
         if bad:
             raise RidgeInThreeFacets(f"ridge {bad[0]} lies in {len(by_ridge[bad[0]])} facets")
-        return Complex([r for r, fs in by_ridge.items() if len(fs) == 1], self.ambient_n)
+        return Complex._derived([r for r, fs in by_ridge.items() if len(fs) == 1], self.ambient_n)
 
     def antipode(self) -> "Complex":
         """Image under the involution v -> -v."""
-        return Complex([antipode_face(f) for f in self.facets], self.ambient_n)
+        return Complex._derived([antipode_face(f) for f in self.facets], self.ambient_n)
 
     def relabel(self, mapping: Callable[[int], int], ambient_n: int) -> "Complex":
         """Apply an injective label map to every vertex."""

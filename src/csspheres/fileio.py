@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Complex
-from .errors import ParseError
+from .core import Complex, canon_face
+from .errors import CsspheresError, ParseError
 
 SPACES = ("V", "W")
 
@@ -37,6 +37,21 @@ def dumps_text(cf: ComplexFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _complex_file(facets, ambient, dim, space: str) -> ComplexFile:
+    """Validate parsed fields into a ComplexFile; library errors become ParseError."""
+    try:
+        faces = [canon_face(f) for f in facets]
+        if ambient is None:
+            ambient = max((abs(v) for f in faces for v in f), default=0)
+        c = Complex(faces, ambient)
+        cf = ComplexFile(complex=c, space=space)
+    except CsspheresError as exc:
+        raise ParseError(str(exc)) from None
+    if dim is not None and not c.is_void and c.dim != dim:
+        raise ParseError(f"declared dim={dim} but facets have dim {c.dim}")
+    return cf
+
+
 def loads_text(text: str) -> ComplexFile:
     space = "V"
     header_n = None
@@ -46,40 +61,29 @@ def loads_text(text: str) -> ComplexFile:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" not in token:
-                    raise ParseError(f"malformed header token {token!r}", lineno)
-                key, value = token.split("=", 1)
-                if key == "dim":
-                    header_dim = int(value)
-                elif key == "n":
-                    header_n = int(value)
-                elif key == "space":
-                    if value not in SPACES:
-                        raise ParseError(f"unknown label space {value!r}", lineno)
-                    space = value
-                else:
-                    raise ParseError(f"unknown header key {key!r}", lineno)
-            continue
         try:
-            labels = tuple(int(t) for t in line.split())
-        except ValueError as exc:
+            if line.startswith("#"):
+                for token in line[1:].split():
+                    key, eq, value = token.partition("=")
+                    if not eq:
+                        raise ParseError(f"malformed header token {token!r}")
+                    if key == "dim":
+                        header_dim = int(value)
+                    elif key == "n":
+                        header_n = int(value)
+                    elif key == "space":
+                        if value not in SPACES:
+                            raise ParseError(f"unknown label space {value!r}")
+                        space = value
+                    else:
+                        raise ParseError(f"unknown header key {key!r}")
+            else:
+                facets.append(canon_face(int(t) for t in line.split()))
+        except ValueError as exc:  # ParseError, InvalidParameters and int() failures
             raise ParseError(str(exc), lineno) from None
-        if any(v == 0 for v in labels):
-            raise ParseError("vertex label 0 is forbidden", lineno)
-        if len(set(labels)) != len(labels):
-            raise ParseError(f"repeated label in facet {labels}", lineno)
-        facets.append(labels)
-    if header_n is None:
-        header_n = max((abs(v) for f in facets for v in f), default=0)
-    try:
-        c = Complex(facets, header_n)
-    except Exception as exc:
-        raise ParseError(str(exc)) from None
-    if header_dim is not None and not c.is_void and c.dim != header_dim:
-        raise ParseError(f"header dim={header_dim} but facets have dim {c.dim}")
-    return ComplexFile(complex=c, space=space)
+    if header_dim == -1 and not facets:
+        facets.append(())  # the complex {∅}: its one facet prints as an empty line
+    return _complex_file(facets, header_n, header_dim, space)
 
 
 def dumps_json(cf: ComplexFile) -> str:
@@ -96,27 +100,14 @@ def dumps_json(cf: ComplexFile) -> str:
 def loads_json(text: str) -> ComplexFile:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", exc.lineno) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}", getattr(exc, "lineno", None)) from None
     if not isinstance(payload, dict) or "facets" not in payload:
         raise ParseError("expected an object with a 'facets' array")
     facets = payload["facets"]
-    for f in facets:
-        if any(v == 0 for v in f):
-            raise ParseError(f"vertex label 0 is forbidden in facet {f}")
-    ambient = payload.get("ambient_n")
-    if ambient is None:
-        ambient = max((abs(v) for f in facets for v in f), default=0)
-    space = payload.get("space", "V")
-    if space not in SPACES:
-        raise ParseError(f"unknown label space {space!r}")
-    try:
-        c = Complex(facets, ambient)
-    except Exception as exc:
-        raise ParseError(str(exc)) from None
-    if "dim" in payload and not c.is_void and c.dim != payload["dim"]:
-        raise ParseError(f"declared dim={payload['dim']} but facets have dim {c.dim}")
-    return ComplexFile(complex=c, space=space)
+    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+        raise ParseError("'facets' must be a list of label lists")
+    return _complex_file(facets, payload.get("ambient_n"), payload.get("dim"), payload.get("space", "V"))
 
 
 def dumps(cf: ComplexFile, format: str = "json") -> str:

@@ -93,8 +93,11 @@ class FlipPlan:
         parts = text.split()
         if len(parts) not in (2, 3):
             raise InvalidParameters(f"expected 'k n i1,i2,...', got {text!r}")
-        k, n = int(parts[0]), int(parts[1])
-        idx = tuple(int(t) for t in parts[2].split(",")) if len(parts) == 3 and parts[2] else ()
+        try:
+            k, n = int(parts[0]), int(parts[1])
+            idx = tuple(int(t) for t in parts[2].split(",")) if len(parts) == 3 else ()
+        except ValueError:
+            raise InvalidParameters(f"expected integers in 'k n i1,i2,...', got {text!r}") from None
         return cls(k=k, n=n, indices=tuple(sorted(idx)))
 
     def serialize(self) -> str:
@@ -123,4 +126,4 @@ def build_gamma(k: int, n: int, indices: Iterable[int]) -> Complex:
                 raise SharedFacets(f"star of {face_a} overlaps an earlier flip")
             removed |= star
             added |= replacement
-    return Complex((delta.facets - removed) | added, n)
+    return Complex._derived((delta.facets - removed) | added, n)

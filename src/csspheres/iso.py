@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .core import Complex, Face, canon_face, fh_vectors, vertex_key
+from .core import Complex, Face, fh_vectors, sort_face, vertex_key
 from .errors import SearchBudgetExceeded
 from .props import is_cs
 
@@ -50,10 +50,6 @@ def _fingerprints(c: Complex) -> dict[int, Fingerprint]:
 def vertex_fingerprints(c: Complex) -> dict[int, Fingerprint]:
     """Deterministic fingerprint for every vertex of `c`, memoised per complex."""
     return dict(c.memo("iso.fingerprints", _fingerprints))
-
-
-def _pair_key(u: int, v: int) -> Face:
-    return tuple(sorted((u, v), key=vertex_key))
 
 
 def _triangle_profile(c: Complex) -> dict[int, tuple]:
@@ -128,16 +124,15 @@ class _Search:
 
     def _consistent(self, mapping: VertexMap, assigned: list[int], v: int, w: int) -> bool:
         for u in assigned:
-            pa, pb = _pair_key(u, v), _pair_key(mapping[u], w)
-            if self.ea.get(pa) != self.eb.get(pb):
+            if self.ea.get(sort_face((u, v))) != self.eb.get(sort_face((mapping[u], w))):
                 return False
         for t in self.prune_cards:
             if t - 1 > len(assigned):
                 continue
             have, want = self.faces_a[t], self.faces_b[t]
             for combo in itertools.combinations(assigned, t - 1):
-                face = canon_face(combo + (v,))
-                image = canon_face(tuple(mapping[u] for u in combo) + (w,))
+                face = sort_face(combo + (v,))
+                image = sort_face(tuple(mapping[u] for u in combo) + (w,))
                 if (face in have) != (image in want):
                     return False
         return True
@@ -157,7 +152,7 @@ class _Search:
 
         def backtrack(idx: int) -> bool:
             if idx == len(verts):
-                image = {canon_face(tuple(mapping[x] for x in f)) for f in self.a.facets}
+                image = {sort_face(mapping[x] for x in f) for f in self.a.facets}
                 if image == self.facets_b:
                     results.append(dict(mapping))
                     return not find_all

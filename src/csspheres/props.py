@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 from .core import Complex, Face, antipode_face, canon_face, face_key
@@ -41,16 +42,20 @@ class NeighborlinessReport:
 
 
 def _antipode_free_subsets(ground: tuple[int, ...], size: int):
-    for combo in itertools.combinations(ground, size):
-        for signs in itertools.product((1, -1), repeat=size):
-            yield tuple(s * v for s, v in zip(signs, combo))
+    """Antipode-free `size`-subsets of ±ground, canonical and in canonical order."""
+    signed = [s * g for g in ground for s in (1, -1)]
+    for combo in itertools.combinations(signed, size):
+        if len({abs(v) for v in combo}) == size:
+            yield combo
 
 
 def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> NeighborlinessReport:
     """Exhaustive skeleton comparison against the cross-polytope on `ground`.
 
     `ground` is the set of positive labels of the reference vertex pairs
-    (defaults to 1..ambient_n).
+    (defaults to 1..ambient_n).  The i-faces with i distinct absolute labels
+    in `ground` are counted against 2^i·C(|ground|, i); subsets of the
+    ground are enumerated only to find the least missing one.
     """
     if ground is None:
         ground = range(1, c.ambient_n + 1)
@@ -58,22 +63,18 @@ def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> Neighb
     if any(g <= 0 for g in ground):
         raise InvalidParameters("ground must consist of positive labels")
     cap = len(ground)
+    ground_set = set(ground)
     max_i = 0
     for i in range(1, cap + 1):
-        have = c.faces_of_card(i)
-        if all(canon_face(s) in have for s in _antipode_free_subsets(ground, i)):
-            max_i = i
-        else:
+        faces = c.faces_of_card(i)
+        inside = sum(1 for f in faces if len(ls := {abs(v) for v in f}) == i and ls <= ground_set)
+        if inside < 2**i * comb(cap, i):
             break
+        max_i = i
     witness = None
     if max_i < cap:
         have = c.faces_of_card(max_i + 1)
-        missing = (
-            canon_face(s)
-            for s in _antipode_free_subsets(ground, max_i + 1)
-            if canon_face(s) not in have
-        )
-        witness = min(missing, key=face_key)
+        witness = next(s for s in _antipode_free_subsets(ground, max_i + 1) if s not in have)
     return NeighborlinessReport(max_i=max_i, exact=witness is not None, witness=witness)
 
 
@@ -214,25 +215,11 @@ def delta3_facet_formula(n: int) -> frozenset[Face]:
     return frozenset(half | {antipode_face(f) for f in half})
 
 
-def edge_link_census(
-    c: Complex, keep_links: bool = False
-) -> dict[Face, int] | tuple[dict[Face, int], dict[Face, Complex]]:
-    """Number of vertices in the link of every edge.
-
-    With ``keep_links`` also returns the link complexes themselves (memory
-    permitting); otherwise only the counts are stored.
-    """
+def edge_link_census(c: Complex) -> dict[Face, int]:
+    """Number of vertices in the link of every edge, as a fresh dict."""
     if c.is_void or c.dim < 2:
         raise InvalidParameters("edge_link_census requires dim >= 2")
-    census = {e: size for e, (size, _) in c.edge_incidence().items()}
-    if keep_links:
-        star_facets: dict[Face, list[Face]] = {}
-        for f in c.facets:
-            for e in itertools.combinations(f, 2):
-                star_facets.setdefault(e, []).append(tuple(v for v in f if v not in e))
-        links = {e: Complex(fs, c.ambient_n) for e, fs in star_facets.items()}
-        return census, links
-    return census
+    return {e: size for e, (size, _) in c.edge_incidence().items()}
 
 
 def census_at_least(census: dict[Face, int], threshold: int) -> list[Face]:

@@ -44,7 +44,10 @@ class IndexSet:
     @classmethod
     def parse(cls, n: int, text: str) -> "IndexSet":
         """Parse a comma list such as "3,5,6" (empty string allowed)."""
-        idx = tuple(sorted(int(t) for t in text.split(",") if t.strip())) if text.strip() else ()
+        try:
+            idx = tuple(sorted(int(t) for t in text.split(",") if t.strip()))
+        except ValueError:
+            raise InvalidIndexSet(f"index set must be a comma list of integers, got {text!r}") from None
         return cls(n=n, indices=idx)
 
     def serialize(self) -> str:

@@ -21,6 +21,26 @@ def closure(facets) -> set[tuple[int, ...]]:
     return out
 
 
+def cs_neighborliness(facets, ground) -> tuple[int, tuple[int, ...] | None]:
+    """(max_i, least missing subset) by testing every antipode-free subset.
+
+    Each i-subset of the ground with each sign choice is looked up in the
+    full closure, for i = 1, 2, ... until one is missing.
+    """
+    faces = closure(facets)
+    ground = sorted(set(ground))
+    for i in range(1, len(ground) + 1):
+        missing = []
+        for combo in itertools.combinations(ground, i):
+            for signs in itertools.product((1, -1), repeat=i):
+                face = tuple(sorted((s * g for s, g in zip(signs, combo)), key=lambda v: (abs(v), v < 0)))
+                if face not in faces:
+                    missing.append(face)
+        if missing:
+            return i - 1, min(missing, key=lambda f: [(abs(v), v < 0) for v in f])
+    return len(ground), None
+
+
 def coface_counts(facets, card: int) -> dict[tuple[int, ...], int]:
     """For every face with `card` vertices, how many vertices extend it to a face.
 

@@ -204,9 +204,9 @@ def test_criterion_05_lambda_suite():
     assert isomorphic(build_lambda(3, 7), build_delta(3, 7)) is None
     for n in (8, 9, 10):
         delta = build_delta(3, n)
-        census, links = edge_link_census(delta, keep_links=True)
         hits = set()
-        for e, link in links.items():
+        for e in edge_link_census(delta):
+            link = delta.link(e)
             ground = sorted(set(range(1, n + 1)) - {abs(v) for v in e})
             if is_cs(link) and cs_neighborliness(link, ground).max_i >= 1:
                 hits.add(e)

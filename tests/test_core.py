@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csspheres.builders import build_B, build_delta, cross_polytope
+from csspheres.builders import build_B, build_delta, cross_polytope, sew
 from csspheres.core import (
     Complex,
     antipode,
@@ -15,7 +17,9 @@ from csspheres.core import (
     fh_vectors,
     from_walk,
     simplex,
+    sort_face,
     topology_report,
+    vertex_key,
 )
 from csspheres.errors import (
     DimensionMismatch,
@@ -25,6 +29,7 @@ from csspheres.errors import (
     OverlappingVertexSets,
     RidgeInThreeFacets,
 )
+from csspheres.flips import build_gamma
 
 from oracles import f_vector, h_vector
 
@@ -39,6 +44,63 @@ def test_canonical_face_order():
         canon_face([0, 1])
     with pytest.raises(InvalidParameters):
         canon_face([2, 2])
+
+
+def test_canon_face_checks_labels_before_ordering():
+    for bad in ("a", True, 2.0, None):
+        with pytest.raises(InvalidParameters, match=repr(bad)):
+            canon_face([1, bad])
+    with pytest.raises(InvalidParameters):
+        Complex([(1, 2)], True)
+
+
+# each label 1..12 enters as v, -v, or both (in either order), then shuffled
+signed_faces = st.lists(
+    st.tuples(st.integers(1, 12), st.sampled_from([(1,), (-1,), (1, -1), (-1, 1)])),
+    unique_by=lambda t: t[0],
+    max_size=6,
+).map(lambda pairs: [s * a for a, signs in pairs for s in signs]).flatmap(st.permutations)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(signed_faces)
+def test_sort_face_is_the_vertex_key_order(vertices):
+    assert sort_face(vertices) == tuple(sorted(vertices, key=vertex_key))
+    assert canon_face(vertices) == sort_face(vertices)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_delta(3, 8),
+        lambda: build_delta(4, 7),
+        lambda: build_B(3, 1, 8),
+        lambda: build_gamma(3, 12, [3]),
+        lambda: build_delta(1, 6),
+        lambda: sew(build_delta(3, 7), build_B(3, 1, 7), 8),
+    ],
+    ids=["delta38", "delta47", "B318", "gamma3_12_3", "delta16", "sew37"],
+)
+def test_trusted_constructor_outputs_are_canonical(build):
+    """Outputs built without re-validation match the validating constructor."""
+    c = build()
+    v = c.vertices()[0]
+    edge = min(c.faces_of_card(2), key=face_key)
+    outputs = [
+        c,
+        c.link((v,)),
+        c.link(edge),
+        c.link(c.sorted_facets()[0]),
+        c.star((v,)),
+        c.star(edge),
+        c.antipode(),
+        c.boundary(),
+        c.star((v,)).boundary(),
+        c.difference(c.star((v,))),
+    ]
+    for x in outputs:
+        assert Complex(x.facets, x.ambient_n) == x
+        assert all(canon_face(f) == f for f in x.facets)
 
 
 def test_antipode_roundtrip():

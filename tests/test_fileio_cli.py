@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csspheres
 from csspheres.builders import build_delta, build_lambda, cross_polytope
@@ -16,6 +18,7 @@ from csspheres.cli import main
 from csspheres.core import Complex
 from csspheres.errors import ParseError
 from csspheres.fileio import (
+    SPACES,
     ComplexFile,
     dumps,
     dumps_json,
@@ -72,12 +75,75 @@ def test_parse_errors():
         loads_json("{not json")
     with pytest.raises(ParseError):
         loads_json('{"facets": [[1, 0]]}')
+    with pytest.raises(ParseError):  # nesting deeper than the decoder's recursion limit
+        loads_json('{"facets": ' + "[" * 100000 + "]" * 100000 + "}")
+    with pytest.raises(ParseError):  # an integer beyond the int-conversion digit limit
+        loads_json('{"facets": [[' + "1" * 5000 + "]]}")
     err = None
     try:
         loads_text("1 2\nx y\n")
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 2
+
+
+@pytest.mark.parametrize(
+    "text,label",
+    [('{"facets": [[true, 2], [-1, -2]]}', "True"), ('{"facets": [["a", 2]]}', "'a'")],
+    ids=["bool", "string"],
+)
+def test_non_integer_labels_are_parse_errors(text, label):
+    with pytest.raises(ParseError, match=label):
+        loads(text)
+
+
+def test_empty_face_complex_round_trips_as_text():
+    cf = ComplexFile(Complex([()], 2))
+    assert loads(dumps(cf, "text")) == cf
+
+
+labels = st.integers(-6, 6).filter(bool)
+complex_files = st.builds(
+    lambda facets, extra, space: ComplexFile(
+        Complex(facets, max((abs(v) for f in facets for v in f), default=0) + extra), space
+    ),
+    st.lists(st.frozensets(labels, max_size=4), max_size=6),
+    st.integers(0, 2),
+    st.sampled_from(SPACES),
+)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(complex_files)
+def test_dumps_loads_round_trip(cf):
+    for fmt in ("text", "json"):
+        assert loads(dumps(cf, fmt)) == cf
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["facets", "ambient_n", "dim", "space"]), inner, max_size=4),
+    max_leaves=12,
+)
+text_lines = st.one_of(
+    st.lists(st.integers(-4, 4), max_size=4).map(lambda vs: " ".join(map(str, vs))),
+    st.sampled_from(["# dim=2", "# n=3", "# n=-1", "# dim=x", "# space=W", "# space=Q", "#", "# n", "1 x"]),
+)
+malformed = st.one_of(
+    st.text(max_size=40),
+    json_values.map(json.dumps),
+    st.lists(text_lines, max_size=6).map("\n".join),
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(malformed)
+def test_loads_raises_only_parse_error(text):
+    try:
+        loads(text)
+    except ParseError:
+        pass
 
 
 def test_cli_build_verify(tmp_path, capsys):
@@ -192,6 +258,26 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["export", str(bad), "--format", "json"]) == 2
     assert main(["build", "delta", "--d", "3", "--n", "2", "--out", str(tmp_path / "x.json")]) == 2
     assert main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["build", "delta-i", "--n", "12", "--i-set", "3,x"], None),
+        (["flips", "--k", "2", "--n", "10", "--j", "3,y"], None),
+        (["export", "{path}", "--format", "text"], '{"facets": 5}'),
+        (["export", "{path}", "--format", "text"], '{"facets": [1, 2]}'),
+        (["export", "{path}", "--format", "json"], "# dim=x\n1 2\n"),
+    ],
+    ids=["i-set", "j", "facets-int", "facets-flat", "header-dim"],
+)
+def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    assert main([a.replace("{path}", str(path)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_deterministic_output(tmp_path):

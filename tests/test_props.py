@@ -29,7 +29,7 @@ from csspheres.props import (
     stackedness,
 )
 
-from oracles import coface_counts
+from oracles import coface_counts, cs_neighborliness as neighborliness_oracle
 
 
 def test_is_cs():
@@ -74,6 +74,32 @@ def test_cs_neighborliness_w_ground():
     assert rep.max_i == 2
     # against the default V-ground the vertex 1 is missing entirely
     assert cs_neighborliness(lam).max_i == 0
+
+
+@pytest.mark.parametrize(
+    "build,ground,want",
+    [
+        (lambda: cross_polytope(4), None, (4, None)),
+        (lambda: build_delta(3, 6), None, (2, (1, -2, -3))),
+        (lambda: build_B(5, 2, 8), None, None),
+        (lambda: build_B(4, 0, 7), None, None),
+        (lambda: build_lambda(3, 8), lambda_ground(8), None),
+        (lambda: build_lambda(3, 8), None, (0, (1,))),
+        (lambda: build_delta(3, 6), (1, 3, 4), None),
+        # the facet (1,-1,2) carries the edges (1,-1), (1,2), (-1,2): four
+        # edges in all, but (-1,-2) is missing and (1,-1) must not count
+        (lambda: Complex([(1, -1, 2), (1, -2)], 2), None, (1, (-1, -2))),
+    ],
+    ids=["cross4", "delta36", "B528", "B407", "lambda38_w", "lambda38_v", "delta36_134", "antipodal"],
+)
+def test_cs_neighborliness_matches_enumeration_oracle(build, ground, want):
+    c = build()
+    rep = cs_neighborliness(c, ground)
+    oracle = neighborliness_oracle(c.facets, range(1, c.ambient_n + 1) if ground is None else ground)
+    assert (rep.max_i, rep.witness) == oracle
+    assert rep.exact == (rep.witness is not None)
+    if want is not None:
+        assert oracle == want
 
 
 def test_stackedness():
@@ -190,10 +216,11 @@ def test_census_threshold_helper():
     )
 
 
-def test_keep_links():
-    census, links = edge_link_census(build_delta(3, 6), keep_links=True)
-    for e, c in census.items():
-        assert len(links[e].vertices()) == c
+def test_census_counts_link_vertices():
+    sphere = build_delta(3, 6)
+    census = edge_link_census(sphere)
+    for e in census:
+        assert len(sphere.link(e).vertices()) == census[e]
 
 
 def test_is_subcomplex():
@@ -224,9 +251,9 @@ def test_only_special_edges_have_large_cs_links():
     # in the 3-sphere the only edges with cs, fully-covering links are ±{1,2}, ±{n-1,n}
     for n in (8, 9, 10):
         d = build_delta(3, n)
-        census, links = edge_link_census(d, keep_links=True)
         hits = []
-        for e, link in links.items():
+        for e in edge_link_census(d):
+            link = d.link(e)
             ground = sorted(set(range(1, n + 1)) - {abs(v) for v in e})
             if is_cs(link) and cs_neighborliness(link, ground).max_i >= 1:
                 hits.append(e)
