@@ -6,7 +6,8 @@ output is deterministic: facets and report lines are emitted in canonical
 order.  Every verification path is a thin wrapper over library operations.
 
 `iso` and `aut` take --budget to bound the node count of their searches
-(default: unlimited).
+(default: unlimited).  --budget, --neighborly, --exactly-neighborly and
+--stacked must be nonnegative.
 """
 
 from __future__ import annotations
@@ -242,6 +243,17 @@ def cmd_export(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """argparse type for a neighborliness, stackedness or budget bound."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="csspheres", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -263,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run requested property checks on complex files")
     p.add_argument("files", nargs="+")
     p.add_argument("--cs", action="store_true")
-    p.add_argument("--neighborly", type=int)
-    p.add_argument("--exactly-neighborly", type=int)
+    p.add_argument("--neighborly", type=_count)
+    p.add_argument("--exactly-neighborly", type=_count)
     p.add_argument("--sphere", action="store_true")
     p.add_argument("--ball", action="store_true")
-    p.add_argument("--stacked", type=int)
+    p.add_argument("--stacked", type=_count)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("census", help="edge-link census as tab-separated rows")
@@ -301,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="isomorphism test with witness or trace")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_count)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("aut", help="enumerate all automorphisms")
     p.add_argument("file")
     p.add_argument("--expect", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_count)
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("export", help="convert between json and text formats")

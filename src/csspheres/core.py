@@ -31,7 +31,7 @@ from .errors import (
     OverlappingVertexSets,
     RidgeInThreeFacets,
 )
-from .gf2 import gf2_rank
+from .gf2 import gf2_pivots
 
 Face = tuple[int, ...]
 
@@ -185,14 +185,6 @@ class Complex:
     def __contains__(self, face) -> bool:
         return self.has_face(face)
 
-    def _closure(self, card: int) -> set[Face]:
-        return {
-            sub
-            for f in self.facets
-            if len(f) >= card
-            for sub in itertools.combinations(f, card)
-        }
-
     def faces_of_card(self, card: int) -> frozenset[Face]:
         """All faces with `card` vertices, materialized from the facets."""
         key = ("card", card)
@@ -202,7 +194,12 @@ class Complex:
             elif card == 0:
                 self._cache[key] = frozenset([()]) if not self.is_void else frozenset()
             else:
-                self._cache[key] = frozenset(self._closure(card))
+                self._cache[key] = frozenset(
+                    sub
+                    for f in self.facets
+                    if len(f) >= card
+                    for sub in itertools.combinations(f, card)
+                )
         return self._cache[key]
 
     def iter_all_faces(self) -> Iterator[Face]:
@@ -211,15 +208,13 @@ class Complex:
             yield from self.faces_of_card(card)
 
     def f_counts(self) -> tuple[int, ...]:
-        """(f_-1, f_0, ..., f_d); (0,) for the void complex."""
+        """(f_-1, f_0, ..., f_d); (0,) for the void complex.
+
+        Counted by the face walk of `z2_betti_numbers`, without the boundary
+        ranks when the Betti numbers were not asked for first.
+        """
         if "f_counts" not in self._cache:
-            if self.is_void:
-                self._cache["f_counts"] = (0,)
-            else:
-                # counted per cardinality and not cached: full closures of
-                # the larger complexes would dominate memory
-                counts = [1] + [len(self._closure(card)) for card in range(1, self.dim + 2)]
-                self._cache["f_counts"] = tuple(counts)
+            self._cache["f_counts"] = _face_walk(self, betti=False)[0]
         return self._cache["f_counts"]
 
     def edge_incidence(self) -> Mapping[Face, tuple[int, int]]:
@@ -436,7 +431,7 @@ def f_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def fh_vectors(c: Complex) -> FHVectors:
-    """Exact f-vector by downward closure plus the matching h-vector."""
+    """Exact f-vector from the face walk plus the matching h-vector."""
     f = c.f_counts()
     if c.is_void:
         return FHVectors(f=f, h=(0,))
@@ -516,30 +511,64 @@ def _is_connected(c: Complex) -> bool:
     return len({find(v) for v in verts}) == 1
 
 
-def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
-    """Unreduced GF(2) Betti numbers beta_0..beta_d via boundary-matrix ranks."""
-    if c.is_void or c.dim < 0:
-        return ()
-    d = c.dim
-    faces_by_card = [sorted(c.faces_of_card(card), key=face_key) for card in range(d + 2)]
-    counts = [len(fs) for fs in faces_by_card]
-    ranks = [0] * (d + 2)  # ranks[k] = rank of boundary map from card k to card k-1
-    for card in range(2, d + 2):
-        index = {f: i for i, f in enumerate(faces_by_card[card - 1])}
-        rows = []
-        for f in faces_by_card[card]:
+def _boundary_rows(level: dict[Face, int], below: dict[Face, int], skip, card: int) -> Iterator[int]:
+    """Boundary row masks, over the indices in `below`, of the faces in `level`
+    (cardinality `card`) whose positions are not in `skip`, in order."""
+    for i, f in enumerate(level):
+        if i not in skip:
             mask = 0
             for sub in itertools.combinations(f, card - 1):
-                mask |= 1 << index[sub]
-            rows.append(mask)
-        ranks[card] = gf2_rank(rows)
-    betti = []
-    for i in range(d + 1):
-        card = i + 1
-        kernel = counts[card] - ranks[card] if card >= 2 else counts[card]
-        image_above = ranks[card + 1] if card + 1 <= d + 1 else 0
-        betti.append(kernel - image_above)
-    return tuple(betti)
+                mask |= 1 << below[sub]
+            yield mask
+
+
+def _face_walk(c: Complex, betti: bool) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """(f-vector, unreduced GF(2) Betti numbers or None) from one top-down pass.
+
+    The walk starts from the facets and indexes each lower face where it
+    first appears; facets of a smaller size join at their own level.  Only
+    one level of faces is held at a time.  With `betti`, the facets are
+    taken in canonical order and the same loop reduces the boundary ranks
+    top-down with clearing.  A face that leads a pivot row of the boundary
+    above has, since the boundary of a boundary is zero, the boundary of
+    the sum of that row's other, lower-indexed faces, so its own row lies
+    in the span of the rows before it and is skipped.
+    """
+    if c.is_void:
+        return (0,), ()
+    top = c.dim + 1
+    by_card: dict[int, list[Face]] = {}
+    for f in c.sorted_facets() if betti else c.facets:  # the order only sets fill-in
+        by_card.setdefault(len(f), []).append(f)
+    counts = [1] + [0] * top
+    ranks = [0] * (top + 2)  # ranks[card]: rank of the boundary from card to card - 1
+    level: dict[Face, int] = {}
+    cleared: set[int] = set()
+    for card in range(top, 0, -1):
+        for f in by_card.get(card, ()):
+            level[f] = len(level)
+        counts[card] = len(level)
+        if card == 1:
+            break
+        subs = itertools.chain.from_iterable(map(itertools.combinations, level, itertools.repeat(card - 1)))
+        below = dict(zip(dict.fromkeys(subs), itertools.count()))
+        if betti:
+            cleared = set(gf2_pivots(_boundary_rows(level, below, cleared, card)))
+            ranks[card] = len(cleared)
+        level = below
+    if not betti:
+        return tuple(counts), None
+    return tuple(counts), tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(1, top + 1))
+
+
+def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
+    """Unreduced GF(2) Betti numbers beta_0..beta_d; () for the void complex and {∅}.
+
+    Memoised with the f-vector of the same walk.
+    """
+    if "betti" not in c._cache:
+        c._cache["f_counts"], c._cache["betti"] = _face_walk(c, betti=True)
+    return c._cache["betti"]
 
 
 def topology_report(c: Complex) -> TopologyReport:
@@ -552,12 +581,12 @@ def topology_report(c: Complex) -> TopologyReport:
             closed = len(c.facets) == 2
         else:
             closed = all(len(fs) == 2 for fs in c._ridge_map().values())
-    f = c.f_counts()
-    euler = sum((-1) ** i * fi for i, fi in enumerate(f[1:]))
+    betti = z2_betti_numbers(c)
+    euler = sum((-1) ** i * fi for i, fi in enumerate(c.f_counts()[1:]))
     return TopologyReport(
         pure=pure,
         connected=connected,
         closed_pseudomanifold=closed,
         euler=euler,
-        z2_betti=z2_betti_numbers(c),
+        z2_betti=betti,
     )

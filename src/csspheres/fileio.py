@@ -128,7 +128,11 @@ def loads(text: str) -> ComplexFile:
 
 def read_path(path: str) -> ComplexFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return loads(text)
 
 
 def write_path(path: str, cf: ComplexFile, format: str | None = None) -> None:

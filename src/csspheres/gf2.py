@@ -1,4 +1,4 @@
-"""GF(2) rank of sparse 0/1 matrices.
+"""Gaussian elimination over GF(2) on sparse 0/1 matrices.
 
 Rows are Python integers used as bit vectors; reduction keeps one pivot row
 per leading bit.  Boundary matrices of desk-scale complexes start out sparse
@@ -11,17 +11,24 @@ from __future__ import annotations
 from typing import Iterable
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of the matrix whose rows are the given bit masks."""
+def gf2_pivots(rows: Iterable[int]) -> dict[int, int]:
+    """Reduce the rows in order; map each leading bit to the reduced row owning it.
+
+    The keys are distinct and every value's highest set bit is its key; the
+    number of pivots is the rank.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
             lead = row.bit_length() - 1
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = row
-                rank += 1
                 break
             row ^= pivot
-    return rank
+    return pivots
+
+
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of the matrix whose rows are the given bit masks."""
+    return len(gf2_pivots(rows))

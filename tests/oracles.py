@@ -68,6 +68,35 @@ def f_vector(facets) -> tuple[int, ...]:
     return tuple(counts.get(card, 0) for card in range(0, top + 1))
 
 
+def z2_betti(facets) -> tuple[int, ...]:
+    """Unreduced GF(2) Betti numbers by full elimination of every boundary matrix.
+
+    Faces come from `closure`, each cardinality sorted in the canonical
+    order; every boundary row is reduced (no clearing).  () for the void
+    complex and for {∅}.
+    """
+    faces = closure(facets)
+    top = max((len(f) for f in faces), default=0)
+    by_card = [
+        sorted((f for f in faces if len(f) == card), key=lambda f: [(abs(v), v < 0) for v in f])
+        for card in range(top + 1)
+    ]
+    ranks = [0] * (top + 2)  # ranks[card]: rank of the boundary from card to card - 1
+    for card in range(2, top + 1):
+        index = {f: i for i, f in enumerate(by_card[card - 1])}
+        pivots: dict[int, int] = {}
+        for f in by_card[card]:
+            row = 0
+            for sub in itertools.combinations(f, card - 1):
+                row |= 1 << index[sub]
+            while row and row.bit_length() - 1 in pivots:
+                row ^= pivots[row.bit_length() - 1]
+            if row:
+                pivots[row.bit_length() - 1] = row
+        ranks[card] = len(pivots)
+    return tuple(len(by_card[card]) - ranks[card] - ranks[card + 1] for card in range(1, top + 1))
+
+
 def h_vector(f: tuple[int, ...]) -> tuple[int, ...]:
     """h from f via the defining polynomial identity, evaluated symbolically."""
     import math

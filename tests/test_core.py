@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csspheres import core
 from csspheres.builders import build_B, build_delta, cross_polytope, sew
 from csspheres.core import (
     Complex,
@@ -20,6 +24,7 @@ from csspheres.core import (
     sort_face,
     topology_report,
     vertex_key,
+    z2_betti_numbers,
 )
 from csspheres.errors import (
     DimensionMismatch,
@@ -30,10 +35,32 @@ from csspheres.errors import (
     RidgeInThreeFacets,
 )
 from csspheres.flips import build_gamma
+from csspheres.gf2 import gf2_pivots, gf2_rank
+from csspheres.sew3 import build_delta_I, enum_I
 
-from oracles import f_vector, h_vector
+from oracles import closure, f_vector, h_vector, z2_betti
 
 import networkx as nx
+
+
+def _torus() -> Complex:
+    # minimal 7-vertex torus (cyclic {i, i+1, i+3} / {i, i+2, i+3} mod 7)
+    facets = []
+    for i in range(7):
+        facets.append(tuple(sorted((i % 7 + 1, (i + 1) % 7 + 1, (i + 3) % 7 + 1))))
+        facets.append(tuple(sorted((i % 7 + 1, (i + 2) % 7 + 1, (i + 3) % 7 + 1))))
+    return Complex(facets, 7)
+
+
+# minimal 6-vertex real projective plane: GF(2) betti (1,1,1), euler 1
+RP2_FACETS = [
+    (1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6), (1, 5, 6),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+]
+THETA_FACETS = [(1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5)]
+# a tetrahedron, a triangle on one of its vertices, a hollow triangle through
+# that triangle's free edge and an isolated vertex
+NON_PURE_FACETS = [(1, 2, 3, 4), (3, 5, 6), (5, -1), (6, -1), (-2,)]
 
 
 def test_canonical_face_order():
@@ -293,17 +320,12 @@ def test_topology_report():
     assert topology_report(Complex([(1,), (-1,)], 1)).closed_pseudomanifold
     assert not topology_report(Complex([(1,), (-1,), (2,)], 2)).closed_pseudomanifold
     # theta graph: every vertex lies in two or more edges, vertices 1 and 2 in three
-    theta = Complex([(1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5)], 5)
+    theta = Complex(THETA_FACETS, 5)
     assert not topology_report(theta).closed_pseudomanifold
 
 
 def test_torus_betti_distinguishes_nonspheres():
-    # minimal 7-vertex torus (cyclic {i, i+1, i+3} / {i, i+2, i+3} mod 7)
-    facets = []
-    for i in range(7):
-        facets.append(tuple(sorted((i % 7 + 1, (i + 1) % 7 + 1, (i + 3) % 7 + 1))))
-        facets.append(tuple(sorted((i % 7 + 1, (i + 2) % 7 + 1, (i + 3) % 7 + 1))))
-    c = Complex(facets, 7)
+    c = _torus()
     rep = topology_report(c)
     assert rep.pure and rep.connected and rep.closed_pseudomanifold
     assert rep.euler == 0
@@ -348,12 +370,7 @@ def test_top_h_entry_tracks_euler():
 
 
 def test_projective_plane_z2_homology():
-    # minimal 6-vertex real projective plane: GF(2) betti (1,1,1), euler 1
-    facets = [
-        (1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6), (1, 5, 6),
-        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
-    ]
-    rep = topology_report(Complex(facets, 6))
+    rep = topology_report(Complex(RP2_FACETS, 6))
     assert rep.closed_pseudomanifold and rep.euler == 1
     assert rep.z2_betti == (1, 1, 1)
     assert not rep.is_sphere() and not rep.is_ball()
@@ -372,3 +389,115 @@ def test_euler_equals_alternating_betti_sum():
     for c in surfaces:
         rep = topology_report(c)
         assert rep.euler == sum((-1) ** i * b for i, b in enumerate(rep.z2_betti)), c
+
+
+ORACLE_COMPLEXES = {
+    **{f"delta{d}_{n}": (lambda d=d, n=n: build_delta(d, n))
+       for d, n in [(3, 10), (4, 8), (5, 9), (6, 8), (7, 10)]},
+    **{f"B{d}{i}_{n}": (lambda d=d, i=i, n=n: build_B(d, i, n))
+       for d, i, n in [(3, 1, 10), (4, 2, 8), (5, 2, 9), (6, 3, 8), (7, 3, 10)]},
+    "gamma3_14_34": lambda: build_gamma(3, 14, (3, 4)),
+    **{f"delta_I{s.indices}": (lambda s=s: build_delta_I(s)) for s in enum_I(12)},
+    "torus": _torus,
+    "rp2": lambda: Complex(RP2_FACETS, 6),
+    "theta": lambda: Complex(THETA_FACETS, 5),
+    "s0": lambda: Complex([(1,), (-1,)], 1),
+    "void": lambda: Complex([], 3),
+    "empty_face": lambda: Complex([()], 3),
+    "non_pure": lambda: Complex(NON_PURE_FACETS, 6),
+}
+
+
+def _check_face_walk(c: Complex) -> None:
+    """Both orders on fresh copies: the counting walk alone, then the Betti walk."""
+    counted, reduced = Complex(c.facets, c.ambient_n), Complex(c.facets, c.ambient_n)
+    assert counted.f_counts() == f_vector(c.facets)
+    assert z2_betti_numbers(reduced) == z2_betti(c.facets)
+    assert reduced.f_counts() == f_vector(c.facets)
+
+
+@pytest.mark.parametrize("build", ORACLE_COMPLEXES.values(), ids=ORACLE_COMPLEXES.keys())
+def test_face_walk_matches_elimination_oracle(build):
+    _check_face_walk(build())
+
+
+def test_elimination_oracle_known_values():
+    assert z2_betti(_torus().facets) == (1, 2, 1)
+    assert z2_betti(NON_PURE_FACETS) == (2, 1, 0, 0)
+    assert z2_betti([]) == () and z2_betti([()]) == ()
+
+
+small_complexes = st.lists(
+    st.sets(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4, 5]), max_size=5).map(tuple),
+    max_size=8,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_complexes)
+def test_face_walk_matches_oracle_on_random_complexes(facets):
+    _check_face_walk(Complex(facets, 5))
+
+
+def _reduces_to_zero(row: int, pivots: dict[int, int]) -> bool:
+    while row and row.bit_length() - 1 in pivots:
+        row ^= pivots[row.bit_length() - 1]
+    return row == 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**12 - 1), max_size=20))
+def test_gf2_pivots_are_keyed_by_their_leading_bit(rows):
+    pivots = gf2_pivots(rows)
+    assert all(row.bit_length() - 1 == lead for lead, row in pivots.items())
+    assert len({row.bit_length() - 1 for row in pivots.values()}) == len(pivots)
+    assert gf2_rank(rows) == len(pivots)
+    # the pivots span every input row, and are independent by their distinct leads
+    assert all(_reduces_to_zero(row, pivots) for row in rows)
+
+
+def _boundary_masks(faces: list, order: dict, card: int) -> list[int]:
+    rows = []
+    for f in faces:
+        mask = 0
+        for sub in itertools.combinations(f, card - 1):
+            mask |= 1 << order[sub]
+        rows.append(mask)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [_torus().facets, RP2_FACETS, build_delta(3, 7).facets, build_B(3, 1, 6).facets,
+     cross_polytope(3).facets, THETA_FACETS, NON_PURE_FACETS],
+    ids=["torus", "rp2", "delta37", "B316", "cross3", "theta", "non_pure"],
+)
+def test_clearing_leaves_boundary_ranks_unchanged(facets):
+    faces = closure(facets)
+    top = max(len(f) for f in faces)
+    for seed in range(3):  # the sorted order, then two shuffled ones
+        by_card = [sorted(f for f in faces if len(f) == card) for card in range(top + 1)]
+        for level in by_card[1:] if seed else ():
+            random.Random(seed).shuffle(level)
+        order = [{f: i for i, f in enumerate(level)} for level in by_card]
+        for card in range(2, top):
+            above = gf2_pivots(_boundary_masks(by_card[card + 1], order[card], card + 1))
+            rows = _boundary_masks(by_card[card], order[card - 1], card)
+            kept = [row for i, row in enumerate(rows) if i not in above]
+            assert gf2_rank(kept) == gf2_rank(rows), (seed, card)
+
+
+def test_topology_report_then_fh_vectors_walk_the_faces_once(monkeypatch):
+    c = Complex(build_delta(5, 10).facets, 10)  # fresh caches
+    walks = []
+    real_walk = core._face_walk
+    monkeypatch.setattr(core, "_face_walk", lambda x, betti: walks.append(betti) or real_walk(x, betti))
+
+    def no_closure(self, card):
+        raise AssertionError("faces_of_card called")
+
+    monkeypatch.setattr(Complex, "faces_of_card", no_closure)
+    report = topology_report(c)
+    assert not [key for key in c._cache if isinstance(key, tuple) and key[0] == "card"]
+    assert fh_vectors(c).f == c.f_counts() == f_vector(c.facets)
+    assert report.is_sphere() and walks == [True]

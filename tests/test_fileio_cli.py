@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csspheres
-from csspheres.builders import build_delta, build_lambda, cross_polytope
+from csspheres.builders import build_B, build_delta, build_lambda, cross_polytope, squeezed_ball
 from csspheres.cli import main
 from csspheres.core import Complex
 from csspheres.errors import ParseError
@@ -280,6 +283,25 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, content):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{path}", "--neighborly", "-3"],
+        ["verify", "{path}", "--exactly-neighborly", "-1"],
+        ["verify", "{path}", "--stacked", "-2"],
+        ["iso", "{path}", "{path}", "--budget", "-1"],
+        ["aut", "{path}", "--budget", "-5"],
+    ],
+    ids=["neighborly", "exactly-neighborly", "stacked", "iso-budget", "aut-budget"],
+)
+def test_cli_negative_counts_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "d36.json"
+    assert main(["build", "delta", "--d", "3", "--n", "6", "--out", str(path)]) == 0
+    assert main([a.replace("{path}", str(path)) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "error:" in err and "must be nonnegative" in err
+
+
 def test_cli_deterministic_output(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -324,3 +346,99 @@ def test_cli_ignores_iso_budget_environment(tmp_path, monkeypatch, capsys):
     assert main(["build", "delta", "--d", "3", "--n", "7", "--out", str(path)]) == 0
     monkeypatch.setenv("CSSPHERES_ISO_BUDGET", "abc")
     assert main(["aut", str(path), "--expect", "2"]) == 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """(valid complex files, malformed files and a missing path, a directory)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    valid = {
+        "cross3.json": dumps(ComplexFile(cross_polytope(3)), "json"),
+        "delta36.txt": dumps(ComplexFile(build_delta(3, 6)), "text"),
+        "ball316.json": dumps(ComplexFile(build_B(3, 1, 6)), "json"),
+        "squeezed24.json": dumps(ComplexFile(squeezed_ball(2, 4)), "json"),
+        "lambda14w.txt": dumps(ComplexFile(build_lambda(1, 4), space="W"), "text"),
+    }
+    malformed = {
+        "facets-int.json": '{"facets": 5}',
+        "label-str.json": '{"facets": [["a", 2]]}',
+        "header-dim.txt": "# dim=x\n1 2\n",
+        "zero.txt": "1 0 2\n",
+        "empty.txt": "",
+    }
+    for name, text in {**valid, **malformed}.items():
+        (root / name).write_text(text)
+    (root / "binary.bin").write_bytes(bytes(range(256)))
+    bad = [str(root / name) for name in [*malformed, "binary.bin", "missing.json"]]
+    return [str(root / name) for name in valid], bad, str(root)
+
+
+def _cli_argv(files):
+    """Argument vectors over every subcommand: small integers, any file, any flag subset.
+
+    Each subcommand lists its positional arguments, the options its parser
+    requires (always drawn) and the others (any subset); a tail of the
+    vector may be cut off.
+    """
+    small = st.integers(-2, 8).map(str)
+    half = st.integers(-2, 3).map(str)  # --k: lambda-squeezed at k=4, n=8 takes seconds
+    word = st.sampled_from(["3", "3,5", "5,3", "", "x", "-1", "3,x", " "])
+    valid, bad, root = files
+    path = st.one_of(st.sampled_from(valid), st.sampled_from(bad + [root]))
+    out = st.sampled_from([os.path.join(root, "out"), root])
+    fmt = st.sampled_from(["json", "text", "xml"])
+    spec = {
+        "build": (
+            [st.sampled_from(
+                ["cross", "delta", "ball", "lambda", "squeezed", "delta-i", "lambda-squeezed", "x"])],
+            {"--n": small},
+            {"--d": small, "--i": small, "--k": half, "--i-set": word, "--tree-out": out,
+             "--ball": path, "--normalize": None, "--out": out, "--format": fmt},
+        ),
+        "verify": ([path, path], {}, {"--cs": None, "--neighborly": small, "--exactly-neighborly": small,
+                                      "--sphere": None, "--ball": None, "--stacked": small}),
+        "census": ([path], {}, {"--at-least": small, "--out": out}),
+        "flips": ([], {"--k": half, "--n": small}, {"--j": word, "--out": out, "--format": fmt}),
+        "sew": ([], {"--base": path, "--ball": path}, {"--vertex": small, "--out": out, "--format": fmt}),
+        "shell": ([st.sampled_from(["delta3", "b42", "x"])], {"--n": small}, {"--out": out}),
+        "iso": ([path, path], {}, {"--budget": small}),
+        "aut": ([path], {}, {"--expect": small, "--budget": small}),
+        "export": ([path], {"--format": fmt}, {"--out": out}),
+        "x": ([], {}, {"--help": None}),
+    }
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(spec)))
+        positional, required, optional = spec[command]
+        args = [command] + [draw(p) for p in positional]
+        flags = list(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=4))
+        for flag in flags:
+            value = required.get(flag, optional.get(flag))
+            args += [flag] if value is None else [flag, draw(value)]
+        if draw(st.integers(0, 3)) == 0:  # missing positionals and option values
+            args = args[: draw(st.integers(1, len(args)))]
+        return args
+
+    return argv()
+
+
+def test_cli_main_fuzz(fuzz_files):
+    """No argument vector raises, every exit code is 0, 1 or 2 and no call allocates much."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_cli_argv(fuzz_files))
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        assert peak < 64 * 2**20, (argv, peak)
+
+    run()
