@@ -36,7 +36,7 @@ from .core import (
     z2_betti_numbers,
 )
 from .flips import FlipPair, FlipPlan, bistellar_flip, build_gamma, fg_pair
-from .iso import automorphisms, isomorphic, vertex_fingerprints
+from .iso import automorphisms, canonical_form, isomorphic, vertex_fingerprints
 from .props import (
     cs_neighborliness,
     delta3_facet_formula,
@@ -70,6 +70,7 @@ __all__ = [
     "build_gamma",
     "build_lambda",
     "canon_face",
+    "canonical_form",
     "cone",
     "cross_polytope",
     "cs_neighborliness",

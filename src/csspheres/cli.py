@@ -5,8 +5,8 @@ first counterexample is printed), 2 on usage or parameter errors.  All
 output is deterministic: facets and report lines are emitted in canonical
 order.  Every verification path is a thin wrapper over library operations.
 
-`iso` and `aut` take --budget to bound the node count of their searches
-(default: unlimited).  --budget, --neighborly, --exactly-neighborly and
+`iso` and `aut` take --budget to bound the node count of their searches,
+and `aut` also the number of maps it lists (default: unlimited).  --budget, --neighborly, --exactly-neighborly and
 --stacked must be nonnegative.
 """
 

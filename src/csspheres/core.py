@@ -264,19 +264,20 @@ class Complex:
     def link(self, face: Iterable[int]) -> "Complex":
         """Faces disjoint from `face` whose union with it is a face."""
         face = canon_face(face)
-        if not self.has_face(face):
-            raise FaceNotPresent(f"face {face} not in complex")
         fs = frozenset(face)
-        new_facets = [tuple(v for v in f if v not in fs) for f in self.facets if fs <= set(f)]
+        new_facets = [tuple(v for v in f if v not in fs) for f in self.facets if fs.issubset(f)]
+        if not new_facets:
+            raise FaceNotPresent(f"face {face} not in complex")
         return Complex._derived(new_facets, self.ambient_n)
 
     def star(self, face: Iterable[int]) -> "Complex":
         """Subcomplex generated by the facets containing `face`."""
         face = canon_face(face)
-        if not self.has_face(face):
-            raise FaceNotPresent(f"face {face} not in complex")
         fs = frozenset(face)
-        return Complex._derived([f for f in self.facets if fs <= set(f)], self.ambient_n)
+        kept = [f for f in self.facets if fs.issubset(f)]
+        if not kept:
+            raise FaceNotPresent(f"face {face} not in complex")
+        return Complex._derived(kept, self.ambient_n)
 
     def join(self, other: "Complex") -> "Complex":
         """Pairwise unions of facets; vertex sets must be disjoint."""

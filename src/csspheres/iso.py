@@ -1,26 +1,40 @@
-"""Isomorphism and automorphism search via invariant-pruned backtracking.
+"""Isomorphism and automorphisms from canonical forms.
 
-Vertices are matched class-by-class on isomorphism-invariant fingerprints
-(degree, multiset of incident edge-link sizes, link f-vector), rarest class
-first.  Partial maps are pruned by edge-link census equality on assigned
-pairs and by face-indicator consistency on small cardinalities.  When both
-complexes are cs and cs-2-neighborly, the unique non-neighbor of a vertex is
-its antipode, so any isomorphism satisfies phi(-v) = -phi(v); the search
-then assigns one representative per antipodal pair.
+Each complex gets one individualisation-refinement search (McKay & Piperno,
+"Practical graph isomorphism II", 2014), memoised on the complex.  Vertex
+colours are refined on the edge labels of `Complex.edge_incidence` (link
+vertex count, facet degree), non-edges carrying one label of their own.  A
+new colour is the rank of the sorted signature (old colour, sorted pairs of
+edge label and neighbour colour), so the order of the cells never depends
+on the input labels.  A node individualises in turn each vertex of its
+first smallest non-singleton cell.  At a leaf every colour is a single
+vertex; the leaf's form is the sorted tuple of the facets relabelled by
+colour and sorted, and the canonical form is the least leaf form.
+
+Two sound prunings keep the tree small.  A leaf whose form equals that of
+the first leaf gives an automorphism mapping its path onto the first path;
+the search jumps back to the deepest first-path ancestor, since the
+automorphism maps the abandoned subtree onto one already explored.  A child
+in the orbit of an explored sibling, under the automorphisms found so far
+that fix the path above it, is skipped.  The automorphisms found this way
+generate the whole group.
+
+Isomorphic complexes have equal canonical forms, so `isomorphic` returning
+None is a certificate.  Its witness is composed from the two canonical
+labellings and checked against the facets before it is returned.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from typing import Iterator, NamedTuple
 
-from .core import Complex, Face, fh_vectors, sort_face, vertex_key
+from .core import Complex, fh_vectors, sort_face
 from .errors import SearchBudgetExceeded
-from .props import is_cs
 
 VertexMap = dict[int, int]
+Form = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -52,177 +66,159 @@ def vertex_fingerprints(c: Complex) -> dict[int, Fingerprint]:
     return dict(c.memo("iso.fingerprints", _fingerprints))
 
 
-def _triangle_profile(c: Complex) -> dict[int, tuple]:
-    """Per-vertex sorted multiset of facet-degrees of incident triangles."""
-    deg: Counter[Face] = Counter()
-    for f in c.facets:
-        for t in itertools.combinations(f, 3):
-            deg[t] += 1
-    per_vertex: dict[int, Counter] = {v: Counter() for v in c.vertices()}
-    for t, d in deg.items():
-        for v in t:
-            per_vertex[v][d] += 1
-    return {v: tuple(sorted(cnt.items())) for v, cnt in per_vertex.items()}
+class _Canon(NamedTuple):
+    form: Form  # the least leaf form
+    labelling: VertexMap  # vertex -> its position in `form`
+    generators: tuple[tuple[int, ...], ...]  # automorphisms on positions in c.vertices()
+    nodes: int  # search tree nodes, root included
 
 
-def _vertex_classes(c: Complex) -> dict[int, tuple]:
-    """Refined vertex classes for the search.
-
-    Fingerprint plus incident (link size, facet degree) pairs plus incident
-    triangle degrees.  Purely invariant, so restricting candidate images to
-    equal classes is sound.
-    """
-    fps = vertex_fingerprints(c)
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in c.vertices()}
-    for e, sizes in c.edge_incidence().items():
-        for v in e:
-            incident[v].append(sizes)
-    tri = _triangle_profile(c)
-    return {v: (fps[v], tuple(sorted(incident[v])), tri[v]) for v in c.vertices()}
+def _refine(colours: list[int], labels: list[list[int]]) -> list[int]:
+    """Refine until stable; colours stay ranks 0..k-1 in canonical cell order."""
+    count = len(set(colours))
+    while count < len(colours):
+        sigs = [(c, tuple(sorted(zip(row, colours)))) for c, row in zip(colours, labels)]
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        colours = [rank[s] for s in sigs]
+        if len(rank) == count:
+            break
+        count = len(rank)
+    return colours
 
 
-def _census_multiset(c: Complex) -> Counter:
-    return Counter(size for size, _ in c.edge_incidence().values())
+def _orbit(seeds: list[int], gens: list[tuple[int, ...]]) -> set[int]:
+    orbit, stack = set(seeds), list(seeds)
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                stack.append(g[x])
+    return orbit
 
 
-class _Search:
-    def __init__(self, a: Complex, b: Complex, budget: int | None):
-        self.a, self.b = a, b
-        self.budget = budget
-        self.nodes = 0
-        self.ka = a.memo("iso.classes", _vertex_classes)
-        self.kb = b.memo("iso.classes", _vertex_classes)
-        self.ea, self.eb = a.edge_incidence(), b.edge_incidence()
-        # cs with an edge on every non-antipodal vertex pair: the unique
-        # non-neighbour of each vertex is its antipode
-        self.antipodal = all(
-            is_cs(c) and len(c.edge_incidence()) == comb(len(c.vertices()), 2) - len(c.vertices()) // 2
-            for c in (a, b)
-        )
-        d = a.dim
-        fcounts = a.f_counts()
-        self.prune_cards = [
-            t
-            for t in range(2, min(d + 1, 4) + 1)
-            if t < len(fcounts) and fcounts[t] < comb(len(a.vertices()), t)
-        ]
-        self.faces_a = {t: a.faces_of_card(t) for t in self.prune_cards}
-        self.faces_b = {t: b.faces_of_card(t) for t in self.prune_cards}
-        self.facets_b = b.facets
+def _search(c: Complex, budget: int | None) -> _Canon:
+    verts = c.vertices()
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    facets = [[pos[v] for v in f] for f in c.facets]
+    incidence = c.edge_incidence()
+    code = {lab: r for r, lab in enumerate(sorted(set(incidence.values())), 1)}
+    labels = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]  # 0: non-edge
+    for (u, v), lab in incidence.items():
+        labels[pos[u]][pos[v]] = labels[pos[v]][pos[u]] = code[lab]
+    first = best = None  # (form, colours, path) of the first and of the least leaf
+    gens: list[tuple[int, ...]] = []
+    nodes = 0
 
-    def order_and_domains(self) -> tuple[list[int], dict[int, list[int]]]:
-        class_sizes = Counter(self.ka.values())
-        verts = sorted(self.a.vertices(), key=vertex_key)
-        if self.antipodal:
-            verts = [v for v in verts if v > 0]
-        verts.sort(key=lambda v: (class_sizes[self.ka[v]], vertex_key(v)))
-        domains = {
-            v: [w for w in sorted(self.b.vertices(), key=vertex_key) if self.kb[w] == self.ka[v]]
-            for v in verts
-        }
-        return verts, domains
-
-    def _consistent(self, mapping: VertexMap, assigned: list[int], v: int, w: int) -> bool:
-        for u in assigned:
-            if self.ea.get(sort_face((u, v))) != self.eb.get(sort_face((mapping[u], w))):
-                return False
-        for t in self.prune_cards:
-            if t - 1 > len(assigned):
+    def visit(colours: list[int], path: list[int]) -> int:
+        """Explore the subtree at `path`; return the depth to resume at."""
+        nonlocal first, best, nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise SearchBudgetExceeded(f"exceeded {budget} search nodes")
+        cells: dict[int, list[int]] = {}
+        for i, col in enumerate(colours):
+            cells.setdefault(col, []).append(i)
+        if len(cells) == n:
+            leaf = (tuple(sorted(tuple(sorted(colours[i] for i in f)) for f in facets)), colours, path)
+            if first is None:
+                first = best = leaf
+            elif leaf[0] == first[0]:
+                vertex_of = {col: i for i, col in enumerate(first[1])}
+                gens.append(tuple(vertex_of[col] for col in colours))
+                return next(d for d, (x, y) in enumerate(zip(path, first[2])) if x != y)
+            elif leaf[0] < best[0]:
+                best = leaf
+            return len(path)
+        t = min((len(cell), col) for col, cell in cells.items() if len(cell) > 1)[1]
+        explored: list[int] = []
+        for v in cells[t]:
+            if v in _orbit(explored, [g for g in gens if all(g[x] == x for x in path)]):
                 continue
-            have, want = self.faces_a[t], self.faces_b[t]
-            for combo in itertools.combinations(assigned, t - 1):
-                face = sort_face(combo + (v,))
-                image = sort_face(tuple(mapping[u] for u in combo) + (w,))
-                if (face in have) != (image in want):
-                    return False
-        return True
+            explored.append(v)
+            child = [col + (col > t or (col == t and i != v)) for i, col in enumerate(colours)]
+            back = visit(_refine(child, labels), path + [v])
+            if back < len(path):
+                return back
+        return len(path)
 
-    def run(self, find_all: bool) -> list[VertexMap]:
-        verts, domains = self.order_and_domains()
-        results: list[VertexMap] = []
-        mapping: VertexMap = {}
-        assigned: list[int] = []
-        used: set[int] = set()
-
-        def extend(v: int, w: int) -> list[tuple[int, int]]:
-            pairs = [(v, w)]
-            if self.antipodal:
-                pairs.append((-v, -w))
-            return pairs
-
-        def backtrack(idx: int) -> bool:
-            if idx == len(verts):
-                image = {sort_face(mapping[x] for x in f) for f in self.a.facets}
-                if image == self.facets_b:
-                    results.append(dict(mapping))
-                    return not find_all
-                return False
-            v = verts[idx]
-            for w in domains[v]:
-                if w in used:
-                    continue
-                if self.antipodal and -w in used:
-                    continue
-                self.nodes += 1
-                if self.budget is not None and self.nodes > self.budget:
-                    raise SearchBudgetExceeded(f"exceeded {self.budget} search nodes")
-                ok = True
-                trail = []
-                for vv, ww in extend(v, w):
-                    if not self._consistent(mapping, assigned, vv, ww):
-                        ok = False
-                        break
-                    mapping[vv] = ww
-                    used.add(ww)
-                    assigned.append(vv)
-                    trail.append((vv, ww))
-                if ok and backtrack(idx + 1):
-                    return True
-                for vv, ww in reversed(trail):
-                    del mapping[vv]
-                    used.discard(ww)
-                    assigned.pop()
-            return False
-
-        backtrack(0)
-        return results
+    visit(_refine([0] * n, labels), [])
+    form, colours, _ = best
+    return _Canon(form, dict(zip(verts, colours)), tuple(gens), nodes)
 
 
-def necessary_conditions(a: Complex, b: Complex) -> list[tuple[str, bool]]:
-    """Cheap isomorphism invariants compared in order; any False settles it."""
-    checks = [("f-vector", fh_vectors(a).f == fh_vectors(b).f)]
+def _canon(c: Complex, budget: int | None) -> _Canon:
+    """The memoised search; its node count is checked against `budget` on
+    every call, so the verdict does not depend on what is cached."""
+    canon = c.memo("iso.canon", lambda c: _search(c, budget))
+    if budget is not None and canon.nodes > budget:
+        raise SearchBudgetExceeded(f"exceeded {budget} search nodes")
+    return canon
+
+
+def canonical_form(c: Complex) -> Form:
+    """Sorted facets over the vertex positions 0..n-1 of the canonical
+    labelling; equal exactly for isomorphic complexes."""
+    return _canon(c, None).form
+
+
+def necessary_conditions(a: Complex, b: Complex) -> Iterator[tuple[str, bool]]:
+    """Cheap isomorphism invariants compared in order, each computed only when
+    the one before it is reached; any False settles it."""
+    yield "f-vector", fh_vectors(a).f == fh_vectors(b).f
     fa, fb = vertex_fingerprints(a), vertex_fingerprints(b)
-    checks.append(("fingerprint multiset", Counter(fa.values()) == Counter(fb.values())))
-    checks.append(("edge-link census multiset", _census_multiset(a) == _census_multiset(b)))
-    return checks
+    yield "fingerprint multiset", Counter(fa.values()) == Counter(fb.values())
+    census = [Counter(size for size, _ in c.edge_incidence().values()) for c in (a, b)]
+    yield "edge-link census multiset", census[0] == census[1]
 
 
 def isomorphic(a: Complex, b: Complex, budget: int | None = None) -> VertexMap | None:
     """A witness vertex bijection mapping facets onto facets, or None.
 
-    None is a certificate: the backtracking is exhaustive (unless `budget`
-    is given and exceeded, which raises instead).
+    None is a certificate: the canonical forms differ.  `budget` bounds the
+    search tree of each complex; exceeding it raises.
     """
     if not a.vertices() or not b.vertices():
         return {} if a.facets == b.facets else None
-    if any(not ok for _, ok in necessary_conditions(a, b)):
+    if len(a.vertices()) != len(b.vertices()) or len(a.facets) != len(b.facets):
         return None
-    found = _Search(a, b, budget).run(find_all=False)
-    return found[0] if found else None
+    ca, cb = _canon(a, budget), _canon(b, budget)
+    if ca.form != cb.form:
+        return None
+    vertex_at = {i: w for w, i in cb.labelling.items()}
+    witness = {v: vertex_at[i] for v, i in ca.labelling.items()}
+    if {sort_face(witness[v] for v in f) for f in a.facets} != b.facets:
+        raise RuntimeError("equal canonical forms, but the labellings do not map facets onto facets")
+    return witness
 
 
 def automorphisms(c: Complex, budget: int | None = None) -> list[VertexMap]:
     """All vertex bijections of `c` onto itself preserving the facet set.
 
+    The group generated by the automorphisms the canonical search found.
     Always contains the identity; for cs complexes also the antipodal map.
-    Sorted deterministically by image sequence.
+    Sorted deterministically by image sequence.  `budget` bounds both the
+    search tree and the number of maps listed.
     """
-    if not c.vertices():
+    verts = c.vertices()
+    if not verts:
         return [{}]
-    maps = _Search(c, c, budget).run(find_all=True)
-    verts = sorted(c.vertices(), key=vertex_key)
-    maps.sort(key=lambda m: tuple(vertex_key(m[v]) for v in verts))
-    return maps
+    gens = _canon(c, budget).generators
+    group = {tuple(range(len(verts)))}
+    stack = list(group)
+    while stack:
+        g = stack.pop()
+        for s in gens:
+            h = tuple(s[i] for i in g)
+            if h not in group:
+                group.add(h)
+                stack.append(h)
+        if budget is not None and len(group) > budget:
+            raise SearchBudgetExceeded(f"more than {budget} automorphisms")
+    # positions follow the canonical vertex order, so sorting the position
+    # tuples sorts the maps by image sequence
+    return [dict(zip(verts, (verts[i] for i in g))) for g in sorted(group)]
 
 
 def apply_vertex_map(mapping: VertexMap, c: Complex, ambient_n: int | None = None) -> Complex:

@@ -163,6 +163,24 @@ def test_link():
         cross_polytope(2).link((1, -1))
 
 
+def test_link_and_star_of_an_absent_face_raise_without_the_vertex_index():
+    c = Complex(build_delta(3, 7).facets, 7)
+    for op in (c.link, c.star):
+        for face in [(1, -1), (1, 2, 3, 4, 5), (8,)]:
+            with pytest.raises(FaceNotPresent):
+                op(face)
+    assert c.link((1, 2)).facets and c.star((1, 2)).facets
+    assert c.link((1, 2, 3, -4)).facets == {()}  # (1, 2, 3, -4) is a facet
+    assert "vindex" not in c._cache
+    for void in (Complex([], 3), Complex([], 0)):
+        for face in [(), (1,)]:
+            with pytest.raises(FaceNotPresent):
+                void.link(face)
+            with pytest.raises(FaceNotPresent):
+                void.star(face)
+    assert Complex([[]], 3).link(()) == Complex([[]], 3)
+
+
 def test_star_and_link_invariant():
     c2 = cross_polytope(2)
     assert c2.star(()) == c2

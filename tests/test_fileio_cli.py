@@ -188,7 +188,24 @@ def test_cli_iso(tmp_path, capsys):
     main(["build", "delta", "--d", "3", "--n", "6", "--out", str(d)])
     capsys.readouterr()
     assert main(["iso", str(c), str(d)]) == 0
-    assert "witness map" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    rows = out[out.index("isomorphic; witness map:") + 1:]
+    witness = {int(v): int(w) for v, w in (row.split("\t") for row in rows)}
+    facets_c, facets_d = read_path(str(c)).complex.facets, read_path(str(d)).complex.facets
+    assert {frozenset(witness[v] for v in f) for f in facets_c} == {frozenset(f) for f in facets_d}
+
+
+def test_cli_iso_stops_at_a_failed_f_vector(tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "d36.json", tmp_path / "d37.json"
+    main(["build", "delta", "--d", "3", "--n", "6", "--out", str(a)])
+    main(["build", "delta", "--d", "3", "--n", "7", "--out", str(b)])
+    capsys.readouterr()
+    links = []
+    original = Complex.link
+    monkeypatch.setattr(Complex, "link", lambda self, face: links.append(face) or original(self, face))
+    assert main(["iso", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "FAIL necessary condition: f-vector\nnot isomorphic\n"
+    assert links == []
 
 
 def test_cli_aut(tmp_path, capsys):
