@@ -36,7 +36,7 @@ from .core import (
     z2_betti_numbers,
 )
 from .flips import FlipPair, FlipPlan, bistellar_flip, build_gamma, fg_pair
-from .iso import automorphisms, canonical_form, isomorphic, vertex_fingerprints
+from .iso import automorphisms, canonical_form, isomorphic
 from .props import (
     cs_neighborliness,
     delta3_facet_formula,
@@ -99,7 +99,6 @@ __all__ = [
     "symmetric_shelling_delta3",
     "topology_report",
     "tree_isomorphic",
-    "vertex_fingerprints",
     "vertex_key",
     "z2_betti_numbers",
 ]

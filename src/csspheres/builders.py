@@ -71,7 +71,7 @@ def build_delta(d: int, n: int) -> Complex:
             return cross_polytope(d + 1)
         prev = build_delta(d, n - 1)
         ball = build_B(d, (d + 1) // 2 - 1, n - 1)
-        return sew(prev, ball, n)
+        return sew(prev, ball)
 
     return _cached(("delta", d, n), build)
 
@@ -97,18 +97,15 @@ def build_B(d: int, i: int, n: int) -> Complex:
     return _cached(("B", d, i, n), build)
 
 
-def sew(gamma: Complex, ball: Complex, new_vertex: int) -> Complex:
+def sew(gamma: Complex, ball: Complex) -> Complex:
     """Replace ±ball inside the cs sphere `gamma` by cones over its boundary.
 
     The facets of `ball` and its antipode are removed and the cones
-    ∂ball * new_vertex and ∂(-ball) * (-new_vertex) inserted.  Requires
-    `ball` to be a full-dimensional pure subcomplex of `gamma` sharing no
-    facets with its antipode, and new_vertex = ambient_n + 1.
+    ∂ball * v and ∂(-ball) * (-v) inserted, for the new vertex
+    v = gamma.ambient_n + 1; the result lives on V_{ambient_n + 1}.
+    Requires `ball` to be a full-dimensional pure subcomplex of `gamma`
+    sharing no facets with its antipode.
     """
-    if new_vertex != gamma.ambient_n + 1:
-        raise InvalidParameters(
-            f"sew needs new_vertex == ambient_n + 1 = {gamma.ambient_n + 1}, got {new_vertex}"
-        )
     if ball.is_void or not ball.is_pure or ball.dim != gamma.dim:
         raise NotSubcomplex("sew needs a pure full-dimensional ball inside the sphere")
     neg = ball.antipode()
@@ -116,12 +113,13 @@ def sew(gamma: Complex, ball: Complex, new_vertex: int) -> Complex:
         raise NotSubcomplex("ball (or its antipode) is not a full-dimensional subcomplex")
     if ball.facets & neg.facets:
         raise SharedFacets("ball shares facets with its antipode")
+    v = gamma.ambient_n + 1
     rim = ball.boundary()
     new_facets = set(gamma.facets) - ball.facets - neg.facets
-    new_facets.update(f + (new_vertex,) for f in rim.facets)
-    new_facets.update(antipode_face(f) + (-new_vertex,) for f in rim.facets)
-    # |new_vertex| exceeds every old label, so appending it keeps faces canonical
-    return Complex._derived(new_facets, new_vertex)
+    new_facets.update(f + (v,) for f in rim.facets)
+    new_facets.update(antipode_face(f) + (-v,) for f in rim.facets)
+    # v exceeds every old label in absolute value, so appending it keeps faces canonical
+    return Complex._derived(new_facets, v)
 
 
 def build_lambda(d: int, n: int, normalize: bool = False) -> Complex:
@@ -209,7 +207,7 @@ def lambda_squeezed(k: int, n: int, ball: Complex) -> Complex:
         raise InvalidParameters("ball facets must be in Gale (squeezed) form")
     lam = build_lambda(2 * k - 1, 2 * n - 1)
     image = rho_embed(ball).with_ambient(lam.ambient_n)
-    return sew(lam, image, 2 * n + 2)
+    return sew(lam, image)
 
 
 def eq1_expansion(d: int, i: int, n: int) -> Complex:

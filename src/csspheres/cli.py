@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import builders, flips, iso, props, sew3, shelling
-from .core import face_key, fh_vectors, topology_report, vertex_key
+from .core import fh_vectors, topology_report, vertex_key
 from .errors import CsspheresError
 from .fileio import ComplexFile, dumps, read_path, write_path
 
@@ -133,9 +133,7 @@ def cmd_verify(args) -> int:
 def cmd_census(args) -> int:
     cf = read_path(args.file)
     census = props.edge_link_census(cf.complex)
-    edges = sorted(census, key=face_key)
-    if args.at_least is not None:
-        edges = [e for e in edges if census[e] >= args.at_least]
+    edges = props.census_at_least(census, args.at_least)
     lines = [f"{e[0]}\t{e[1]}\t{census[e]}" for e in edges]
     body = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
@@ -171,8 +169,7 @@ def cmd_flips(args) -> int:
 def cmd_sew(args) -> int:
     base = read_path(args.base)
     ball = read_path(args.ball).complex
-    vertex = args.vertex if args.vertex is not None else base.complex.ambient_n + 1
-    sewn = builders.sew(base.complex, ball, vertex)
+    sewn = builders.sew(base.complex, ball)
     _emit(ComplexFile(sewn, space=base.space), args)
     return 0
 
@@ -212,7 +209,7 @@ def cmd_iso(args) -> int:
             return 1
     witness = iso.isomorphic(a, b, budget=args.budget)
     if witness is None:
-        print("not isomorphic (search exhausted)")
+        print("not isomorphic (canonical forms differ)")
         return 1
     print("isomorphic; witness map:")
     for v in sorted(witness, key=vertex_key):
@@ -284,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="edge-link census as tab-separated rows")
     p.add_argument("file")
-    p.add_argument("--at-least", type=int)
+    p.add_argument("--at-least", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)
 
@@ -299,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sew", help="replace ±ball with cones over its boundary")
     p.add_argument("--base", required=True)
     p.add_argument("--ball", required=True)
-    p.add_argument("--vertex", type=int)
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "text"])
     p.set_defaults(func=cmd_sew)

@@ -202,11 +202,6 @@ class Complex:
                 )
         return self._cache[key]
 
-    def iter_all_faces(self) -> Iterator[Face]:
-        """Every face, the empty one included (unless void)."""
-        for card in range(0, (self.dim + 1 if not self.is_void else 0) + 1):
-            yield from self.faces_of_card(card)
-
     def f_counts(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_d); (0,) for the void complex.
 
@@ -420,14 +415,6 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(
         sum((-1) ** (j - i) * comb(d + 1 - i, j - i) * f[i] for i in range(j + 1))
         for j in range(d + 2)
-    )
-
-
-def f_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse of h_from_f."""
-    d = len(h) - 2
-    return tuple(
-        sum(comb(d + 1 - i, j - i) * h[i] for i in range(j + 1)) for j in range(d + 2)
     )
 
 

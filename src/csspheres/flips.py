@@ -26,14 +26,15 @@ from .builders import build_delta
 
 def _flip_edit(c: Complex, a: Face, b: Face) -> tuple[set[Face], set[Face]]:
     """The star of `a` and the facets replacing it, once the flip is validated."""
-    if not c.has_face(a):
+    fa = frozenset(a)
+    star = {f for f in c.facets if fa.issubset(f)}
+    if not star:
         raise FaceNotPresent(f"face {a} not in complex")
     if c.has_face(b):
         raise FacePresent(f"face {b} already in complex")
-    expected = frozenset(tuple(v for v in b if v != drop) for drop in b)
-    if c.link(a).facets != expected:
+    expected = {tuple(v for v in b if v != drop) for drop in b}
+    if {tuple(v for v in f if v not in fa) for f in star} != expected:
         raise LinkMismatch(f"link of {a} is not the boundary of the simplex on {b}")
-    star = {f for f in c.facets if set(a) <= set(f)}
     replacement = {canon_face(tuple(v for v in a if v != drop) + b) for drop in a}
     return star, replacement
 

@@ -27,8 +27,3 @@ def gf2_pivots(rows: Iterable[int]) -> dict[int, int]:
                 break
             row ^= pivot
     return pivots
-
-
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of the matrix whose rows are the given bit masks."""
-    return len(gf2_pivots(rows))

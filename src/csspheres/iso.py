@@ -27,7 +27,6 @@ labellings and checked against the facets before it is returned.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .core import Complex, fh_vectors, sort_face
@@ -35,35 +34,6 @@ from .errors import SearchBudgetExceeded
 
 VertexMap = dict[int, int]
 Form = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Isomorphism-invariant per-vertex signature."""
-
-    degree: int
-    incident_link_sizes: tuple[int, ...]
-    link_f: tuple[int, ...]
-
-
-def _fingerprints(c: Complex) -> dict[int, Fingerprint]:
-    incident: dict[int, list[int]] = {v: [] for v in c.vertices()}
-    for e, (size, _) in c.edge_incidence().items():
-        for v in e:
-            incident[v].append(size)
-    return {
-        v: Fingerprint(
-            degree=len(sizes),
-            incident_link_sizes=tuple(sorted(sizes)),
-            link_f=fh_vectors(c.link((v,))).f,
-        )
-        for v, sizes in incident.items()
-    }
-
-
-def vertex_fingerprints(c: Complex) -> dict[int, Fingerprint]:
-    """Deterministic fingerprint for every vertex of `c`, memoised per complex."""
-    return dict(c.memo("iso.fingerprints", _fingerprints))
 
 
 class _Canon(NamedTuple):
@@ -167,8 +137,6 @@ def necessary_conditions(a: Complex, b: Complex) -> Iterator[tuple[str, bool]]:
     """Cheap isomorphism invariants compared in order, each computed only when
     the one before it is reached; any False settles it."""
     yield "f-vector", fh_vectors(a).f == fh_vectors(b).f
-    fa, fb = vertex_fingerprints(a), vertex_fingerprints(b)
-    yield "fingerprint multiset", Counter(fa.values()) == Counter(fb.values())
     census = [Counter(size for size, _ in c.edge_incidence().values()) for c in (a, b)]
     yield "edge-link census multiset", census[0] == census[1]
 

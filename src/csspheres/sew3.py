@@ -160,7 +160,7 @@ def build_T(index_set: IndexSet) -> FacetTree:
     nodes.extend(p for p in short[1:] if p not in nodes)
 
     for f in nodes:
-        assert delta.has_face(f), f"generated node {f} is not a facet"
+        assert f in delta.facets, f"generated node {f} is not a facet"
     assert len(nodes) == 2 * n - 3, f"expected {2 * n - 3} nodes, got {len(nodes)}"
     for a, b in edges:
         assert len(set(a) & set(b)) == 3, f"tree edge {a}-{b} shares no ridge"
@@ -182,8 +182,7 @@ def build_B_I(index_set: IndexSet) -> Complex:
 
 def build_delta_I(index_set: IndexSet) -> Complex:
     """The cs 3-sphere on V_{n+1} obtained by sewing ±B(I) out of the base sphere."""
-    n = index_set.n
-    return sew(build_delta(3, n), build_B_I(index_set), n + 1)
+    return sew(build_delta(3, index_set.n), build_B_I(index_set))
 
 
 def _adjacency(nodes: Iterable[Hashable], edges: Iterable[tuple]) -> dict[Hashable, list]:

@@ -174,8 +174,24 @@ def brute_force_automorphisms(facets, vertices) -> list[dict]:
     return out
 
 
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of bit-mask rows, by an elimination of its own.
+
+    Each row is reduced against the basis kept so far with r = min(r, r ^ b),
+    which clears the leading bit of b whenever r has it; a nonzero remainder
+    joins the basis.
+    """
+    basis: list[int] = []
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis.append(r)
+    return len(basis)
+
+
 def pack_rows(matrix) -> list[int]:
-    """Bit-pack a dense 0/1 row-major matrix for gf2_rank."""
+    """Bit-pack a dense 0/1 row-major matrix into bit-mask rows."""
     rows = []
     for r in matrix:
         mask = 0

@@ -474,7 +474,7 @@ def test_criterion_11_oracle_equivalence():
         build_gamma(2, 10, (3, 5)),
         build_delta_I(IndexSet(10, (3,))),
         lambda_squeezed(2, 5, squeezed_ball(2, 5)),
-        sew(build_delta(3, 6), build_B(3, 1, 6), 7),
+        sew(build_delta(3, 6), build_B(3, 1, 6)),
     ]
     for s in spheres:
         report = topology_report(s)

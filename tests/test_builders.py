@@ -46,7 +46,7 @@ def test_delta_one_matches_sewing_route():
     for n in range(2, 8):
         prev = build_delta(1, n)
         ball = build_B(1, 0, n)
-        assert sew(prev, ball, n + 1) == build_delta(1, n + 1)
+        assert sew(prev, ball) == build_delta(1, n + 1)
 
 
 def test_b31_explicit_formula():
@@ -97,19 +97,17 @@ def test_delta3_facet_count():
 
 def test_sew_regression():
     for n in (5, 6, 7):
-        assert sew(build_delta(3, n), build_B(3, 1, n), n + 1) == build_delta(3, n + 1)
+        assert sew(build_delta(3, n), build_B(3, 1, n)) == build_delta(3, n + 1)
     with pytest.raises(NotSubcomplex):
-        sew(build_delta(3, 5), Complex([], 5), 6)
-    with pytest.raises(InvalidParameters):
-        sew(build_delta(3, 5), build_B(3, 1, 5), 7)
+        sew(build_delta(3, 5), Complex([], 5))
     # a ball sharing facets with its antipode is rejected
     d = build_delta(3, 5)
     sym = Complex(build_B(3, 1, 5).facets | build_B(3, 1, 5).antipode().facets, 5)
     with pytest.raises(SharedFacets):
-        sew(d, sym, 6)
+        sew(d, sym)
     # a pure full-dim complex that is not a subcomplex is rejected
     with pytest.raises(NotSubcomplex):
-        sew(d, simplex([1, 2, 3, 4], 5), 6)
+        sew(d, simplex([1, 2, 3, 4], 5))
 
 
 def test_eq1_two_step_expansion():

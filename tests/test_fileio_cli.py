@@ -208,6 +208,24 @@ def test_cli_iso_stops_at_a_failed_f_vector(tmp_path, capsys, monkeypatch):
     assert links == []
 
 
+def test_cli_iso_reports_differing_canonical_forms(tmp_path, capsys, monkeypatch):
+    # Γ(3,14,{3}) and Γ(3,14,{4}) pass both invariants, yet are not isomorphic
+    a, b = tmp_path / "g3.json", tmp_path / "g4.json"
+    assert main(["flips", "--k", "3", "--n", "14", "--j", "3", "--out", str(a)]) == 0
+    assert main(["flips", "--k", "3", "--n", "14", "--j", "4", "--out", str(b)]) == 0
+    capsys.readouterr()
+    links = []
+    original = Complex.link
+    monkeypatch.setattr(Complex, "link", lambda self, face: links.append(face) or original(self, face))
+    assert main(["iso", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        "PASS necessary condition: f-vector\n"
+        "PASS necessary condition: edge-link census multiset\n"
+        "not isomorphic (canonical forms differ)\n"
+    )
+    assert links == []
+
+
 def test_cli_aut(tmp_path, capsys):
     p = tmp_path / "d37.json"
     main(["build", "delta", "--d", "3", "--n", "7", "--out", str(p)])
@@ -223,6 +241,9 @@ def test_cli_census(tmp_path, capsys):
     assert main(["census", str(p), "--at-least", "12"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert sorted(rows) == sorted(["1\t2\t12", "-1\t-2\t12", "7\t8\t12", "-7\t-8\t12"])
+    # no threshold: every edge, C(16, 2) minus the 8 antipodal pairs
+    assert main(["census", str(p)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 112
 
 
 def test_cli_flips(tmp_path, capsys):
@@ -351,6 +372,11 @@ def test_cli_build_missing_params(tmp_path):
     assert main(["build", "squeezed", "--n", "6"]) == 2
 
 
+def test_package_exports_resolve():
+    assert len(set(csspheres.__all__)) == len(csspheres.__all__)
+    assert all(hasattr(csspheres, name) for name in csspheres.__all__)
+
+
 def test_cli_import_leaves_networkx_out():
     code = "import sys, csspheres.cli; print('networkx' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(csspheres.__file__).parents[1]))
@@ -416,7 +442,7 @@ def _cli_argv(files):
                                       "--sphere": None, "--ball": None, "--stacked": small}),
         "census": ([path], {}, {"--at-least": small, "--out": out}),
         "flips": ([], {"--k": half, "--n": small}, {"--j": word, "--out": out, "--format": fmt}),
-        "sew": ([], {"--base": path, "--ball": path}, {"--vertex": small, "--out": out, "--format": fmt}),
+        "sew": ([], {"--base": path, "--ball": path}, {"--out": out, "--format": fmt}),
         "shell": ([st.sampled_from(["delta3", "b42", "x"])], {"--n": small}, {"--out": out}),
         "iso": ([path, path], {}, {"--budget": small}),
         "aut": ([path], {}, {"--expect": small, "--budget": small}),

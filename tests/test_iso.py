@@ -1,4 +1,5 @@
-"""Fingerprints, automorphism enumeration, and isomorphism search."""
+"""Canonical forms, automorphism enumeration, isomorphism witnesses and the
+cheap necessary conditions that the `iso` command prints first."""
 
 from __future__ import annotations
 
@@ -25,28 +26,9 @@ from csspheres.iso import (
     identity_map,
     isomorphic,
     necessary_conditions,
-    vertex_fingerprints,
 )
 
 from oracles import brute_force_automorphisms, brute_force_isomorphism
-
-
-def test_fingerprints_cross_polytope():
-    fps = vertex_fingerprints(cross_polytope(4))
-    assert len(set(fps.values())) == 1  # vertex-transitive
-
-
-def test_fingerprints_delta38():
-    fps = vertex_fingerprints(build_delta(3, 8))
-    # the census table separates 1 from 2: vertex 2 sees the length-11 link
-    # of {2,3} while vertex 1 sees only the length-12 link of {1,2}
-    assert fps[1] == fps[-1] and fps[2] == fps[-2]
-    assert fps[1] != fps[2]
-    assert fps[1] != fps[5] and fps[2] != fps[5]
-    assert max(fps[1].incident_link_sizes) == 12
-    assert 11 in fps[2].incident_link_sizes
-    # invariant under the antipodal relabeling
-    assert all(fps[v] == fps[-v] for v in fps)
 
 
 def test_automorphisms_cross():
@@ -183,8 +165,6 @@ def test_isomorphic_makes_no_link_calls_and_searches_once(monkeypatch):
 
 def test_memoised_invariants_are_handed_out_read_only():
     c = Complex(build_delta(3, 7).facets, 7)
-    vertex_fingerprints(c).clear()
-    assert len(vertex_fingerprints(c)) == 14
     edge_link_census(c).clear()
     assert len(edge_link_census(c)) == 2 * 7 * 6
     with pytest.raises(TypeError):
@@ -265,9 +245,9 @@ def test_necessary_conditions_stop_at_the_first_failure(monkeypatch):
     monkeypatch.setattr(Complex, "link", lambda self, face: links.append(face) or original(self, face))
     checks = necessary_conditions(a, b)
     assert next(checks) == ("f-vector", False)
+    assert "edges" not in a._cache and "edges" not in b._cache
+    assert [name for name, _ in checks] == ["edge-link census multiset"]
     assert links == []
-    assert [name for name, _ in checks] == ["fingerprint multiset", "edge-link census multiset"]
-    assert links
 
 
 def _latin_square_graph(rows: list[str], offset: int) -> list[tuple[int, int]]:
