@@ -6,8 +6,9 @@ output is deterministic: facets and report lines are emitted in canonical
 order.  Every verification path is a thin wrapper over library operations.
 
 `iso` and `aut` take --budget to bound the node count of their searches,
-and `aut` also the number of maps it lists (default: unlimited).  --budget, --neighborly, --exactly-neighborly and
---stacked must be nonnegative.
+and `aut` also the number of maps it lists (default: unlimited).  --budget,
+--neighborly, --exactly-neighborly, --stacked, --expect and --at-least must
+be nonnegative.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def cmd_export(args) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type for a neighborliness, stackedness or budget bound."""
+    """argparse type for a nonnegative bound or count option."""
     try:
         value = int(text)
     except ValueError:
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="edge-link census as tab-separated rows")
     p.add_argument("file")
-    p.add_argument("--at-least", type=int, default=0)
+    p.add_argument("--at-least", type=_count, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)
 
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="enumerate all automorphisms")
     p.add_argument("file")
-    p.add_argument("--expect", type=int)
+    p.add_argument("--expect", type=_count)
     p.add_argument("--budget", type=_count)
     p.set_defaults(func=cmd_aut)
 

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
     DimensionMismatch,
@@ -146,25 +146,23 @@ class Complex:
 
     def sorted_facets(self) -> tuple[Face, ...]:
         """Facets in canonical lexicographic order (deterministic output)."""
-        if "sorted_facets" not in self._cache:
-            self._cache["sorted_facets"] = tuple(sorted(self.facets, key=face_key))
-        return self._cache["sorted_facets"]
+        return self.memo("sorted_facets", lambda c: tuple(sorted(c.facets, key=face_key)))
 
     def vertices(self) -> tuple[int, ...]:
-        if "vertices" not in self._cache:
-            seen = {v for f in self.facets for v in f}
-            self._cache["vertices"] = tuple(sorted(seen, key=vertex_key))
-        return self._cache["vertices"]
+        return self.memo(
+            "vertices", lambda c: tuple(sorted({v for f in c.facets for v in f}, key=vertex_key))
+        )
 
     def _vertex_index(self) -> dict[int, tuple[frozenset[int], ...]]:
-        if "vindex" not in self._cache:
+        def build(c: Complex) -> dict[int, tuple[frozenset[int], ...]]:
             index: dict[int, list[frozenset[int]]] = {}
-            for f in self.facets:
+            for f in c.facets:
                 fs = frozenset(f)
                 for v in f:
                     index.setdefault(v, []).append(fs)
-            self._cache["vindex"] = {v: tuple(fl) for v, fl in index.items()}
-        return self._cache["vindex"]
+            return {v: tuple(fl) for v, fl in index.items()}
+
+        return self.memo("vindex", build)
 
     def has_face(self, face: Iterable[int]) -> bool:
         """True iff the given vertex set is contained in some facet."""
@@ -187,30 +185,21 @@ class Complex:
 
     def faces_of_card(self, card: int) -> frozenset[Face]:
         """All faces with `card` vertices, materialized from the facets."""
-        key = ("card", card)
-        if key not in self._cache:
-            if card < 0:
-                self._cache[key] = frozenset()
-            elif card == 0:
-                self._cache[key] = frozenset([()]) if not self.is_void else frozenset()
-            else:
-                self._cache[key] = frozenset(
-                    sub
-                    for f in self.facets
-                    if len(f) >= card
-                    for sub in itertools.combinations(f, card)
-                )
-        return self._cache[key]
+        if card <= 0:
+            return frozenset([()]) if card == 0 and not self.is_void else frozenset()
+        return self.memo(
+            ("card", card),
+            lambda c: frozenset(
+                sub for f in c.facets if len(f) >= card for sub in itertools.combinations(f, card)
+            ),
+        )
 
     def f_counts(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_d); (0,) for the void complex.
 
-        Counted by the face walk of `z2_betti_numbers`, without the boundary
-        ranks when the Betti numbers were not asked for first.
+        Read from the memoised face walk that also gives `z2_betti_numbers`.
         """
-        if "f_counts" not in self._cache:
-            self._cache["f_counts"] = _face_walk(self, betti=False)[0]
-        return self._cache["f_counts"]
+        return self.memo("walk", _face_walk)[0]
 
     def edge_incidence(self) -> Mapping[Face, tuple[int, int]]:
         """Read-only map from every edge to (link vertex count, facet degree).
@@ -219,17 +208,16 @@ class Complex:
         number of vertices in the link of the edge, the facet degree the
         number of facets that contain it.
         """
-        if "edges" not in self._cache:
+        def build(c: Complex) -> Mapping[Face, tuple[int, int]]:
             link_verts: dict[Face, set[int]] = {}
             degree: dict[Face, int] = {}
-            for f in self.facets:
+            for f in c.facets:
                 for e in itertools.combinations(f, 2):
                     link_verts.setdefault(e, set()).update(f)
                     degree[e] = degree.get(e, 0) + 1
-            self._cache["edges"] = MappingProxyType(
-                {e: (len(vs) - 2, degree[e]) for e, vs in link_verts.items()}
-            )
-        return self._cache["edges"]
+            return MappingProxyType({e: (len(vs) - 2, degree[e]) for e, vs in link_verts.items()})
+
+        return self.memo("edges", build)
 
     def _ridge_map(self) -> dict[Face, list[Face]]:
         """Facets of a pure complex grouped by their ridges.
@@ -242,11 +230,12 @@ class Complex:
                 by_ridge.setdefault(r, []).append(f)
         return by_ridge
 
-    def memo(self, key: str, compute: Callable[["Complex"], object]):
+    def memo(self, key: Hashable, compute: Callable[["Complex"], object]):
         """`compute(self)`, evaluated once per complex and kept under `key`.
 
-        For invariants defined outside this module.  The stored value is
-        shared: callers hand out copies or read-only views of it.
+        The one cache of every derived invariant, here and in other modules.
+        The stored value is shared: callers hand out copies or read-only
+        views of it.
         """
         if key not in self._cache:
             self._cache[key] = compute(self)
@@ -452,18 +441,18 @@ class TopologyReport:
     z2_betti: tuple[int, ...]
 
     def is_sphere(self) -> bool:
-        """Betti/pseudomanifold profile of a d-sphere (d >= 0)."""
+        """Betti/pseudomanifold profile of a d-sphere (d >= 0).
+
+        The profile's beta_0 fixes connectivity: one component for d >= 1,
+        the two points of S^0 for d = 0.
+        """
         d = len(self.z2_betti) - 1
         if d < 0:
             return False
-        expected = tuple(1 if i in (0, d) else 0 for i in range(d + 1))
-        if d == 0:
-            expected = (2,)
         return (
             self.pure
-            and self.connected
             and self.closed_pseudomanifold
-            and self.z2_betti == expected
+            and self.z2_betti == tuple((i == 0) + (i == d) for i in range(d + 1))
         )
 
     def is_ball(self) -> bool:
@@ -473,30 +462,9 @@ class TopologyReport:
             return False
         return (
             self.pure
-            and self.connected
             and not self.closed_pseudomanifold
             and self.z2_betti == tuple(1 if i == 0 else 0 for i in range(d + 1))
         )
-
-
-def _is_connected(c: Complex) -> bool:
-    verts = c.vertices()
-    if len(verts) <= 1:
-        return True
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for f in c.facets:
-        for a, b in zip(f, f[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(v) for v in verts}) == 1
 
 
 def _boundary_rows(level: dict[Face, int], below: dict[Face, int], skip, card: int) -> Iterator[int]:
@@ -510,23 +478,22 @@ def _boundary_rows(level: dict[Face, int], below: dict[Face, int], skip, card: i
             yield mask
 
 
-def _face_walk(c: Complex, betti: bool) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
-    """(f-vector, unreduced GF(2) Betti numbers or None) from one top-down pass.
+def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(f-vector, unreduced GF(2) Betti numbers) from one top-down pass.
 
-    The walk starts from the facets and indexes each lower face where it
-    first appears; facets of a smaller size join at their own level.  Only
-    one level of faces is held at a time.  With `betti`, the facets are
-    taken in canonical order and the same loop reduces the boundary ranks
-    top-down with clearing.  A face that leads a pivot row of the boundary
-    above has, since the boundary of a boundary is zero, the boundary of
-    the sum of that row's other, lower-indexed faces, so its own row lies
-    in the span of the rows before it and is skipped.
+    The walk takes the facets in canonical order and indexes each lower face
+    where it first appears; facets of a smaller size join at their own
+    level.  Only one level of faces is held at a time.  The same loop
+    reduces the boundary ranks top-down with clearing.  A face that leads a
+    pivot row of the boundary above has, since the boundary of a boundary is
+    zero, the boundary of the sum of that row's other, lower-indexed faces,
+    so its own row lies in the span of the rows before it and is skipped.
     """
     if c.is_void:
         return (0,), ()
     top = c.dim + 1
     by_card: dict[int, list[Face]] = {}
-    for f in c.sorted_facets() if betti else c.facets:  # the order only sets fill-in
+    for f in c.sorted_facets():  # the order only sets fill-in
         by_card.setdefault(len(f), []).append(f)
     counts = [1] + [0] * top
     ranks = [0] * (top + 2)  # ranks[card]: rank of the boundary from card to card - 1
@@ -540,12 +507,9 @@ def _face_walk(c: Complex, betti: bool) -> tuple[tuple[int, ...], tuple[int, ...
             break
         subs = itertools.chain.from_iterable(map(itertools.combinations, level, itertools.repeat(card - 1)))
         below = dict(zip(dict.fromkeys(subs), itertools.count()))
-        if betti:
-            cleared = set(gf2_pivots(_boundary_rows(level, below, cleared, card)))
-            ranks[card] = len(cleared)
+        cleared = set(gf2_pivots(_boundary_rows(level, below, cleared, card)))
+        ranks[card] = len(cleared)
         level = below
-    if not betti:
-        return tuple(counts), None
     return tuple(counts), tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(1, top + 1))
 
 
@@ -554,26 +518,19 @@ def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
 
     Memoised with the f-vector of the same walk.
     """
-    if "betti" not in c._cache:
-        c._cache["f_counts"], c._cache["betti"] = _face_walk(c, betti=True)
-    return c._cache["betti"]
+    return c.memo("walk", _face_walk)[1]
 
 
 def topology_report(c: Complex) -> TopologyReport:
-    """Purity, connectivity, closed-pseudomanifold check, Euler number, GF(2) Betti."""
+    """Purity, connectivity (beta_0 = 1), closed-pseudomanifold check, Euler
+    number, GF(2) Betti; the counts all come from the one memoised face walk."""
     pure = c.is_pure
-    connected = _is_connected(c)
-    closed = False
-    if pure and not c.is_void and c.dim >= 0:
-        if c.dim == 0:
-            closed = len(c.facets) == 2
-        else:
-            closed = all(len(fs) == 2 for fs in c._ridge_map().values())
+    closed = pure and c.dim >= 0 and all(len(fs) == 2 for fs in c._ridge_map().values())
     betti = z2_betti_numbers(c)
     euler = sum((-1) ** i * fi for i, fi in enumerate(c.f_counts()[1:]))
     return TopologyReport(
         pure=pure,
-        connected=connected,
+        connected=not betti or betti[0] == 1,
         closed_pseudomanifold=closed,
         euler=euler,
         z2_betti=betti,

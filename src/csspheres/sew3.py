@@ -86,29 +86,14 @@ class FacetTree:
 
 
 def _column_path(n: int) -> list[Face]:
-    """Facets through {1,2} with all-positive complements, walked end to end.
+    """Facets through {1,2} with all-positive complements, end to end.
 
-    This is the sub-path of the edge-link cycle of {1,2} between {3,5} and
-    {4,6}, passing through {n-1, n}.
+    This is the sub-path of the edge-link cycle of {1,2} from {3,5} up the
+    odd pairs {a, a+2} to {n-1, n}, then down the even pairs to {4,6}.
     """
-    delta = build_delta(3, n)
-    link = delta.link((1, 2))
-    pos_edges = [e for e in link.facets if min(e) > 0]
-    adjacency: dict[Face, list[Face]] = {e: [] for e in pos_edges}
-    for a, b in itertools.combinations(pos_edges, 2):
-        if set(a) & set(b):
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-    start = canon_face((3, 5))
-    walk = [start]
-    while True:
-        nxt = [e for e in adjacency[walk[-1]] if len(walk) < 2 or e != walk[-2]]
-        if not nxt:
-            break
-        assert len(nxt) == 1, "column walk branched; link structure unexpected"
-        walk.append(nxt[0])
-    assert walk[-1] == canon_face((4, 6)), "column walk did not end at {4,6}"
-    return [canon_face((1, 2) + e) for e in walk]
+    up = [(a, a + 2) for a in range(3, n - 1, 2)]
+    down = [(a, a + 2) for a in range(4, n - 1, 2)]
+    return [(1, 2) + e for e in up + [(n - 1, n)] + down[::-1]]
 
 
 def _row_nodes(n: int, row: int, steps: int) -> list[Face]:

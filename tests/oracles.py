@@ -8,7 +8,7 @@ calls the code paths it is checking.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 
 
 def closure(facets) -> set[tuple[int, ...]]:
@@ -95,6 +95,25 @@ def z2_betti(facets) -> tuple[int, ...]:
                 pivots[row.bit_length() - 1] = row
         ranks[card] = len(pivots)
     return tuple(len(by_card[card]) - ranks[card] - ranks[card + 1] for card in range(1, top + 1))
+
+
+def connected(facets) -> bool:
+    """Whether the vertex graph (two vertices adjacent when some facet holds
+    both) is connected, by breadth-first search.  True with no vertices."""
+    neighbours: dict[int, set[int]] = {}
+    for f in facets:
+        for v in f:
+            neighbours.setdefault(v, set()).update(f)
+    if not neighbours:
+        return True
+    start = next(iter(neighbours))
+    seen, queue = {start}, deque([start])
+    while queue:
+        for w in neighbours[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == len(neighbours)
 
 
 def h_vector(f: tuple[int, ...]) -> tuple[int, ...]:

@@ -38,7 +38,7 @@ from csspheres.flips import build_gamma
 from csspheres.gf2 import gf2_pivots
 from csspheres.sew3 import build_delta_I, enum_I
 
-from oracles import closure, f_vector, gf2_rank, h_vector, pack_rows, z2_betti
+from oracles import closure, connected, f_vector, gf2_rank, h_vector, pack_rows, z2_betti
 
 import networkx as nx
 
@@ -337,6 +337,8 @@ def test_topology_report():
     # S^0: two points
     assert topology_report(Complex([(1,), (-1,)], 1)).closed_pseudomanifold
     assert not topology_report(Complex([(1,), (-1,), (2,)], 2)).closed_pseudomanifold
+    assert topology_report(Complex([(1,), (-1,)], 1)).is_sphere()
+    assert not topology_report(Complex([(1,), (-1,), (2,)], 2)).is_sphere()
     # theta graph: every vertex lies in two or more edges, vertices 1 and 2 in three
     theta = Complex(THETA_FACETS, 5)
     assert not topology_report(theta).closed_pseudomanifold
@@ -428,11 +430,14 @@ ORACLE_COMPLEXES = {
 
 
 def _check_face_walk(c: Complex) -> None:
-    """Both orders on fresh copies: the counting walk alone, then the Betti walk."""
-    counted, reduced = Complex(c.facets, c.ambient_n), Complex(c.facets, c.ambient_n)
-    assert counted.f_counts() == f_vector(c.facets)
-    assert z2_betti_numbers(reduced) == z2_betti(c.facets)
-    assert reduced.f_counts() == f_vector(c.facets)
+    """The one face walk against the oracles, asked for in both orders on
+    fresh copies, and the report's connectivity against a graph search."""
+    f_first, betti_first = Complex(c.facets, c.ambient_n), Complex(c.facets, c.ambient_n)
+    assert f_first.f_counts() == f_vector(c.facets)
+    assert z2_betti_numbers(f_first) == z2_betti(c.facets)
+    assert z2_betti_numbers(betti_first) == z2_betti(c.facets)
+    assert betti_first.f_counts() == f_vector(c.facets)
+    assert topology_report(c).connected == connected(c.facets)
 
 
 @pytest.mark.parametrize("build", ORACLE_COMPLEXES.values(), ids=ORACLE_COMPLEXES.keys())
@@ -444,6 +449,7 @@ def test_elimination_oracle_known_values():
     assert z2_betti(_torus().facets) == (1, 2, 1)
     assert z2_betti(NON_PURE_FACETS) == (2, 1, 0, 0)
     assert z2_betti([]) == () and z2_betti([()]) == ()
+    assert not connected(NON_PURE_FACETS) and connected([]) and connected([()])
 
 
 small_complexes = st.lists(
@@ -510,7 +516,7 @@ def test_topology_report_then_fh_vectors_walk_the_faces_once(monkeypatch):
     c = Complex(build_delta(5, 10).facets, 10)  # fresh caches
     walks = []
     real_walk = core._face_walk
-    monkeypatch.setattr(core, "_face_walk", lambda x, betti: walks.append(betti) or real_walk(x, betti))
+    monkeypatch.setattr(core, "_face_walk", lambda x: walks.append(x) or real_walk(x))
 
     def no_closure(self, card):
         raise AssertionError("faces_of_card called")
@@ -519,4 +525,4 @@ def test_topology_report_then_fh_vectors_walk_the_faces_once(monkeypatch):
     report = topology_report(c)
     assert not [key for key in c._cache if isinstance(key, tuple) and key[0] == "card"]
     assert fh_vectors(c).f == c.f_counts() == f_vector(c.facets)
-    assert report.is_sphere() and walks == [True]
+    assert report.is_sphere() and walks == [c]

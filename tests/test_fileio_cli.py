@@ -329,8 +329,11 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, content):
         ["verify", "{path}", "--stacked", "-2"],
         ["iso", "{path}", "{path}", "--budget", "-1"],
         ["aut", "{path}", "--budget", "-5"],
+        ["aut", "{path}", "--expect", "-1"],
+        ["census", "{path}", "--at-least", "-4"],
     ],
-    ids=["neighborly", "exactly-neighborly", "stacked", "iso-budget", "aut-budget"],
+    ids=["neighborly", "exactly-neighborly", "stacked", "iso-budget", "aut-budget", "aut-expect",
+         "census-at-least"],
 )
 def test_cli_negative_counts_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "d36.json"

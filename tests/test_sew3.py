@@ -43,6 +43,10 @@ def test_index_set_validation():
     assert IndexSet(12, (3, 5)).serialize() == "3,5"
 
 
+def _positive_through_12(faces) -> set:
+    return {f for f in faces if {1, 2} <= set(f) and min(f) > 0}
+
+
 @pytest.mark.parametrize("n", [10, 11, 12])
 def test_tree_shape(n):
     for index_set in enum_I(n):
@@ -55,6 +59,7 @@ def test_tree_shape(n):
             assert f in delta.facets
         for a, b in tree.edges:
             assert len(set(a) & set(b)) == 3
+        assert _positive_through_12(tree.nodes) == _positive_through_12(delta.facets)
 
 
 def test_tree_row_zero_start():
