@@ -35,7 +35,7 @@ from .core import (
     vertex_key,
     z2_betti_numbers,
 )
-from .flips import FlipPair, FlipPlan, bistellar_flip, build_gamma, fg_pair
+from .flips import FlipPair, bistellar_flip, build_gamma, fg_pair
 from .iso import automorphisms, canonical_form, isomorphic
 from .props import (
     cs_neighborliness,
@@ -55,7 +55,6 @@ __all__ = [
     "Face",
     "FHVectors",
     "FlipPair",
-    "FlipPlan",
     "IndexSet",
     "ShellingOrder",
     "TopologyReport",

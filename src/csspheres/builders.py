@@ -13,69 +13,43 @@ cs-i-neighborly, i-stacked combinatorial d-ball used in its inductive
 * Delta(d, n+1) is obtained from Delta(d, n) by the sewing step that
   replaces ±B(d, ⌈d/2⌉-1, n) with the cones ±(∂B * (n+1)).
 
-Results are memoized under a lock; the cache may be read concurrently.
+``cross_polytope``, ``build_delta``, ``build_B`` and ``build_lambda`` are
+memoized with ``functools.cache``, which is safe to call from several threads.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from typing import Iterable
 
 from .core import Complex, antipode_face, canon_face, cone, from_walk
 from .errors import InvalidParameters, NegativeLabel, NotSubcomplex, SharedFacets
 
-_CACHE: dict[tuple, Complex] = {}
-_CACHE_LOCK = threading.Lock()
 
-
-def cache_clear() -> None:
-    """Drop all memoized spheres and balls (mainly for tests)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
-
-
-def _cached(key: tuple, build) -> Complex:
-    got = _CACHE.get(key)
-    if got is not None:
-        return got
-    # Build outside the lock: the recursion is well-founded, so re-entry on
-    # the same key cannot happen, and duplicate work is harmless.
-    value = build()
-    with _CACHE_LOCK:
-        return _CACHE.setdefault(key, value)
-
-
+@functools.cache
 def cross_polytope(n: int) -> Complex:
     """Boundary of the n-dimensional cross-polytope: one sign choice per pair."""
     if n < 1:
         raise InvalidParameters(f"cross_polytope needs n >= 1, got {n}")
-
-    def build():
-        facets: list[tuple[int, ...]] = [()]
-        for i in range(1, n + 1):
-            facets = [f + (s * i,) for f in facets for s in (1, -1)]
-        return Complex(facets, n)
-
-    return _cached(("cross", n), build)
+    facets: list[tuple[int, ...]] = [()]
+    for i in range(1, n + 1):
+        facets = [f + (s * i,) for f in facets for s in (1, -1)]
+    return Complex(facets, n)
 
 
+@functools.cache
 def build_delta(d: int, n: int) -> Complex:
     """The cs combinatorial d-sphere on V_n (cs-⌈d/2⌉-neighborly)."""
     if d < 1 or n < d + 1:
         raise InvalidParameters(f"build_delta requires d >= 1 and n >= d+1, got d={d}, n={n}")
-
-    def build():
-        if d == 1:
-            return from_walk(list(range(1, n + 1)) + list(range(-1, -n - 1, -1)) + [1], n)
-        if n == d + 1:
-            return cross_polytope(d + 1)
-        prev = build_delta(d, n - 1)
-        ball = build_B(d, (d + 1) // 2 - 1, n - 1)
-        return sew(prev, ball)
-
-    return _cached(("delta", d, n), build)
+    if d == 1:
+        return from_walk(list(range(1, n + 1)) + list(range(-1, -n - 1, -1)) + [1], n)
+    if n == d + 1:
+        return cross_polytope(d + 1)
+    return sew(build_delta(d, n - 1), build_B(d, (d + 1) // 2 - 1, n - 1))
 
 
+@functools.cache
 def build_B(d: int, i: int, n: int) -> Complex:
     """The cs-i-neighborly, i-stacked d-ball B(d, i, n) on V_n; void for i < 0."""
     if d < 1 or n < d + 1:
@@ -84,17 +58,13 @@ def build_B(d: int, i: int, n: int) -> Complex:
         raise InvalidParameters(f"build_B requires i <= ceil(d/2), got d={d}, i={i}")
     if i < 0:
         return Complex([], n)
-
-    def build():
-        if d % 2 == 1 and i == (d + 1) // 2:
-            return build_delta(d, n).difference(build_B(d, i - 1, n))
-        if d == 1:  # i == 0 here
-            return Complex([(-1, n)], n)
-        upper = cone(build_B(d - 1, i, n - 1), n)
-        lower = cone(build_B(d - 1, i - 1, n - 1).antipode(), -n)
-        return Complex(upper.facets | lower.facets, n)
-
-    return _cached(("B", d, i, n), build)
+    if d % 2 == 1 and i == (d + 1) // 2:
+        return build_delta(d, n).difference(build_B(d, i - 1, n))
+    if d == 1:  # i == 0 here
+        return Complex([(-1, n)], n)
+    upper = cone(build_B(d - 1, i, n - 1), n)
+    lower = cone(build_B(d - 1, i - 1, n - 1).antipode(), -n)
+    return Complex(upper.facets | lower.facets, n)
 
 
 def sew(gamma: Complex, ball: Complex) -> Complex:
@@ -122,6 +92,7 @@ def sew(gamma: Complex, ball: Complex) -> Complex:
     return Complex._derived(new_facets, v)
 
 
+@functools.cache
 def build_lambda(d: int, n: int, normalize: bool = False) -> Complex:
     """The cs d-sphere arising as the link of the edge {1,2} in Delta(d+2, n+2).
 
@@ -130,15 +101,21 @@ def build_lambda(d: int, n: int, normalize: bool = False) -> Complex:
     """
     if d < 1 or n < d + 1:
         raise InvalidParameters(f"build_lambda requires d >= 1 and n >= d+1, got d={d}, n={n}")
-
-    def build():
-        link = build_delta(d + 2, n + 2).link((1, 2))
-        return link
-
-    lam = _cached(("lambda", d, n), build)
     if normalize:
-        return lam.relabel(lambda v: v - 2 if v > 0 else v + 2, n)
-    return lam
+        return build_lambda(d, n).relabel(lambda v: v - 2 if v > 0 else v + 2, n)
+    return build_delta(d + 2, n + 2).link((1, 2))
+
+
+# Captured here, not looked up by module name when clearing: a caller may
+# rebind ``builders.build_delta`` and the others to wrappers without
+# ``cache_clear``.
+_MEMOIZED = (cross_polytope, build_delta, build_B, build_lambda)
+
+
+def cache_clear() -> None:
+    """Drop all memoized spheres and balls (mainly for tests)."""
+    for f in _MEMOIZED:
+        f.cache_clear()
 
 
 def lambda_ground(n: int) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ import sys
 
 from . import builders, flips, iso, props, sew3, shelling
 from .core import fh_vectors, topology_report, vertex_key
-from .errors import CsspheresError
+from .errors import CsspheresError, InvalidParameters
 from .fileio import ComplexFile, dumps, read_path, write_path
 
 
@@ -29,8 +29,40 @@ def _emit(cf: ComplexFile, args) -> None:
         sys.stdout.write(dumps(cf, args.format or "json"))
 
 
+def _write(body: str, out: str | None) -> None:
+    """Write a text body to the file `out`, or to stdout when `out` is unset."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
+
+
+def _report(checks: list[tuple[bool, str]]) -> int:
+    """Print a PASS or FAIL line per check; 0 when all pass, else 1."""
+    for ok, line in checks:
+        print(("PASS " if ok else "FAIL ") + line)
+    return 0 if all(ok for ok, _ in checks) else 1
+
+
+def _print_map(m: dict[int, int]) -> None:
+    for v in sorted(m, key=vertex_key):
+        print(f"{v}\t{m[v]}")
+
+
 def _fmt_face(face) -> str:
     return "{" + ",".join(str(v) for v in face) + "}"
+
+
+def _indices(text: str | None) -> tuple[int, ...]:
+    """The sorted integers of a comma list such as "5, 3"; empty tokens are skipped."""
+    try:
+        idx = [int(t) for t in (text or "").split(",") if t.strip()]
+    except ValueError:
+        raise InvalidParameters(f"index set must be a comma list of integers, got {text!r}") from None
+    if len(set(idx)) != len(idx):
+        raise InvalidParameters(f"index set repeats a value, got {text!r}")
+    return tuple(sorted(idx))
 
 
 # ----------------------------------------------------------------------
@@ -38,46 +70,37 @@ def _fmt_face(face) -> str:
 # ----------------------------------------------------------------------
 
 
-_BUILD_NEEDS = {
-    "cross": (),
-    "delta": ("d",),
-    "ball": ("d", "i"),
-    "lambda": ("d",),
-    "squeezed": ("k",),
-    "delta-i": (),
-    "lambda-squeezed": ("k",),
+def _build_delta_i(args) -> ComplexFile:
+    index_set = sew3.IndexSet(args.n, _indices(args.i_set))
+    if args.tree_out:
+        _write(sew3.build_T(index_set).edge_list_text(), args.tree_out)
+    return ComplexFile(sew3.build_delta_I(index_set))
+
+
+def _build_lambda_squeezed(args) -> ComplexFile:
+    ball = read_path(args.ball).complex if args.ball else builders.squeezed_ball(args.k, args.n)
+    return ComplexFile(builders.lambda_squeezed(args.k, args.n, ball), space="W")
+
+
+# build kind -> (options it requires besides --n, builder from the parsed arguments)
+_BUILDS = {
+    "cross": ((), lambda a: ComplexFile(builders.cross_polytope(a.n))),
+    "delta": (("d",), lambda a: ComplexFile(builders.build_delta(a.d, a.n))),
+    "ball": (("d", "i"), lambda a: ComplexFile(builders.build_B(a.d, a.i, a.n))),
+    "lambda": (("d",), lambda a: ComplexFile(builders.build_lambda(a.d, a.n, normalize=a.normalize),
+                                             space="V" if a.normalize else "W")),
+    "squeezed": (("k",), lambda a: ComplexFile(builders.squeezed_ball(a.k, a.n))),
+    "delta-i": ((), _build_delta_i),
+    "lambda-squeezed": (("k",), _build_lambda_squeezed),
 }
 
 
 def cmd_build(args) -> int:
-    kind = args.kind
-    missing = [f"--{p}" for p in _BUILD_NEEDS[kind] if getattr(args, p) is None]
+    needs, build = _BUILDS[args.kind]
+    missing = [f"--{p}" for p in needs if getattr(args, p) is None]
     if missing:
-        raise CsspheresError(f"build {kind} requires {', '.join(missing)}")
-    if kind == "cross":
-        cf = ComplexFile(builders.cross_polytope(args.n))
-    elif kind == "delta":
-        cf = ComplexFile(builders.build_delta(args.d, args.n))
-    elif kind == "ball":
-        cf = ComplexFile(builders.build_B(args.d, args.i, args.n))
-    elif kind == "lambda":
-        c = builders.build_lambda(args.d, args.n, normalize=args.normalize)
-        cf = ComplexFile(c, space="V" if args.normalize else "W")
-    elif kind == "squeezed":
-        cf = ComplexFile(builders.squeezed_ball(args.k, args.n))
-    elif kind == "delta-i":
-        index_set = sew3.IndexSet.parse(args.n, args.i_set or "")
-        if args.tree_out:
-            tree = sew3.build_T(index_set)
-            with open(args.tree_out, "w", encoding="utf-8") as fh:
-                fh.write(tree.edge_list_text())
-        cf = ComplexFile(sew3.build_delta_I(index_set))
-    elif kind == "lambda-squeezed":
-        ball = read_path(args.ball).complex if args.ball else builders.squeezed_ball(args.k, args.n)
-        cf = ComplexFile(builders.lambda_squeezed(args.k, args.n, ball), space="W")
-    else:  # pragma: no cover - argparse restricts choices
-        raise CsspheresError(f"unknown build kind {kind}")
-    _emit(cf, args)
+        raise CsspheresError(f"build {args.kind} requires {', '.join(missing)}")
+    _emit(build(args), args)
     return 0
 
 
@@ -122,13 +145,7 @@ def _verify_one(path: str, args) -> list[tuple[bool, str]]:
 
 
 def cmd_verify(args) -> int:
-    outcomes = [_verify_one(path, args) for path in args.files]
-    all_ok = True
-    for results in outcomes:
-        for ok, line in results:
-            print(("PASS " if ok else "FAIL ") + line)
-            all_ok = all_ok and ok
-    return 0 if all_ok else 1
+    return _report([check for path in args.files for check in _verify_one(path, args)])
 
 
 def cmd_census(args) -> int:
@@ -136,35 +153,27 @@ def cmd_census(args) -> int:
     census = props.edge_link_census(cf.complex)
     edges = props.census_at_least(census, args.at_least)
     lines = [f"{e[0]}\t{e[1]}\t{census[e]}" for e in edges]
-    body = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _write("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
 
 
 def cmd_flips(args) -> int:
-    plan = flips.FlipPlan.parse(f"{args.k} {args.n} {args.j or ''}".strip())
-    gamma = flips.build_gamma(plan.k, plan.n, plan.indices)
-    delta = builders.build_delta(2 * plan.k - 1, plan.n)
+    indices = _indices(args.j)
+    gamma = flips.build_gamma(args.k, args.n, indices)
+    delta = builders.build_delta(2 * args.k - 1, args.n)
     drop = len(delta.facets) - len(gamma.facets)
     checks = [
         (props.is_cs(gamma), "flipped sphere is cs"),
-        (drop == 2 * len(plan.indices), f"facet drop {drop} == 2|J|"),
+        (drop == 2 * len(indices), f"facet drop {drop} == 2|J|"),
     ]
-    for i in plan.indices:
-        pair = flips.fg_pair(plan.k, i)
+    for i in indices:
+        pair = flips.fg_pair(args.k, i)
         checks.append((not gamma.has_face(pair.f), f"F_{i} removed"))
         checks.append((gamma.has_face(pair.g), f"G_{i} present"))
-    all_ok = True
-    for ok, line in checks:
-        print(("PASS " if ok else "FAIL ") + line)
-        all_ok = all_ok and ok
+    code = _report(checks)
     if args.out:
         write_path(args.out, ComplexFile(gamma), args.format)
-    return 0 if all_ok else 1
+    return code
 
 
 def cmd_sew(args) -> int:
@@ -182,7 +191,7 @@ def cmd_shell(args) -> int:
     else:
         c = builders.build_B(4, 2, args.n)
         order = shelling.shelling_B42(args.n)
-    result = shelling.is_shelling(c, order.facets)
+    result = shelling.is_shelling(c, order)
     if not result.valid:
         print(f"FAIL shelling of {args.kind} n={args.n} breaks at position {result.failed_at}")
         return 1
@@ -190,12 +199,7 @@ def cmd_shell(args) -> int:
         " ".join(str(v) for v in f) + "  # restriction " + _fmt_face(r)
         for f, r in zip(result.facets, result.restriction_faces)
     ]
-    body = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _write("\n".join(lines) + "\n", args.out)
     print(f"PASS shelling of {args.kind} n={args.n} ({len(result.facets)} facets)")
     return 0
 
@@ -213,8 +217,7 @@ def cmd_iso(args) -> int:
         print("not isomorphic (canonical forms differ)")
         return 1
     print("isomorphic; witness map:")
-    for v in sorted(witness, key=vertex_key):
-        print(f"{v}\t{witness[v]}")
+    _print_map(witness)
     return 0
 
 
@@ -224,8 +227,7 @@ def cmd_aut(args) -> int:
     print(f"automorphisms: {len(maps)}")
     for idx, m in enumerate(maps):
         print(f"# map {idx}")
-        for v in sorted(m, key=vertex_key):
-            print(f"{v}\t{m[v]}")
+        _print_map(m)
     if args.expect is not None and len(maps) != args.expect:
         print(f"FAIL expected {args.expect} automorphisms, found {len(maps)}")
         return 1
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a named complex and write it out")
-    p.add_argument("kind", choices=["cross", "delta", "ball", "lambda", "squeezed", "delta-i", "lambda-squeezed"])
+    p.add_argument("kind", choices=_BUILDS)
     p.add_argument("--d", type=int, help="dimension")
     p.add_argument("--i", type=int, help="stackedness index for balls")
     p.add_argument("--n", type=int, required=True, help="ambient size")

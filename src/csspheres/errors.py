@@ -64,7 +64,7 @@ class LinkMismatch(CsspheresError, ValueError):
 
 
 class IndexOutOfRange(CsspheresError, ValueError):
-    """Flip-plan index outside the admissible interval."""
+    """Flip index outside the admissible interval."""
 
 
 class NTooSmall(CsspheresError, ValueError):

@@ -64,62 +64,29 @@ def fg_pair(k: int, i: int) -> FlipPair:
     return FlipPair(k=k, i=i, f=f, g=g)
 
 
-@dataclass(frozen=True)
-class FlipPlan:
-    """A set of flip indices J applied symmetrically.
-
-    Indices live in [3, n-4k+3], the full range where the (F_i, G_i) flip is
-    admissible (G_i must fit inside [n]).  The pairwise non-isomorphism
-    guarantee for the flipped spheres additionally needs k >= 3 and indices
-    at most n-4k+2, which leaves the last admissible flip untouched.
-    """
-
-    k: int
-    n: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        lo, hi = 3, self.n - 4 * self.k + 3
-        bad = [i for i in self.indices if not lo <= i <= hi]
-        if bad:
-            raise IndexOutOfRange(
-                f"flip indices {bad} outside [{lo}, {hi}] for k={self.k}, n={self.n}"
-            )
-        if tuple(sorted(self.indices)) != self.indices:
-            raise InvalidParameters("flip indices must be sorted")
-
-    @classmethod
-    def parse(cls, text: str) -> "FlipPlan":
-        """Parse the "k n i1,i2,..." serialization."""
-        parts = text.split()
-        if len(parts) not in (2, 3):
-            raise InvalidParameters(f"expected 'k n i1,i2,...', got {text!r}")
-        try:
-            k, n = int(parts[0]), int(parts[1])
-            idx = tuple(int(t) for t in parts[2].split(",")) if len(parts) == 3 else ()
-        except ValueError:
-            raise InvalidParameters(f"expected integers in 'k n i1,i2,...', got {text!r}") from None
-        return cls(k=k, n=n, indices=tuple(sorted(idx)))
-
-    def serialize(self) -> str:
-        return f"{self.k} {self.n} {','.join(str(i) for i in self.indices)}".rstrip()
-
-
 def build_gamma(k: int, n: int, indices: Iterable[int]) -> Complex:
     """Apply the symmetric flips at all indices in J to build_delta(2k-1, n).
 
-    All stars (those of F_i, -F_i over i in J) are checked to be pairwise
-    facet-disjoint, then removed and replaced in one batched edit.  The
-    result is a cs combinatorial (2k-1)-sphere with the same (k-2)-skeleton;
-    its cs-(k-1)-neighborly non-isomorphism guarantee needs k >= 3.
+    Indices must lie in [3, n-4k+3], the full range where the (F_i, G_i)
+    flip is admissible (G_i must fit inside [n]).  All stars (those of F_i,
+    -F_i over i in J) are checked to be pairwise facet-disjoint, then
+    removed and replaced in one batched edit.  The result is a cs
+    combinatorial (2k-1)-sphere with the same (k-2)-skeleton.  Its
+    cs-(k-1)-neighborly pairwise non-isomorphism guarantee additionally
+    needs k >= 3 and indices at most n-4k+2, which leaves the last
+    admissible flip untouched.
     """
     if k < 2:
         raise InvalidParameters(f"build_gamma requires k >= 2, got {k}")
-    plan = FlipPlan(k=k, n=n, indices=tuple(sorted(set(indices))))
+    indices = sorted(set(indices))
+    lo, hi = 3, n - 4 * k + 3
+    bad = [i for i in indices if not lo <= i <= hi]
+    if bad:
+        raise IndexOutOfRange(f"flip indices {bad} outside [{lo}, {hi}] for k={k}, n={n}")
     delta = build_delta(2 * k - 1, n)
     removed: set[Face] = set()
     added: set[Face] = set()
-    for i in plan.indices:
+    for i in indices:
         pair = fg_pair(k, i)
         for face_a, face_b in ((pair.f, pair.g), (antipode_face(pair.f), antipode_face(pair.g))):
             star, replacement = _flip_edit(delta, face_a, face_b)

@@ -188,18 +188,3 @@ def automorphisms(c: Complex, budget: int | None = None) -> list[VertexMap]:
     # tuples sorts the maps by image sequence
     return [dict(zip(verts, (verts[i] for i in g))) for g in sorted(group)]
 
-
-def apply_vertex_map(mapping: VertexMap, c: Complex, ambient_n: int | None = None) -> Complex:
-    """Relabel `c` through a vertex bijection."""
-    return Complex(
-        [[mapping[v] for v in f] for f in c.facets],
-        c.ambient_n if ambient_n is None else ambient_n,
-    )
-
-
-def identity_map(c: Complex) -> VertexMap:
-    return {v: v for v in c.vertices()}
-
-
-def antipodal_map(c: Complex) -> VertexMap:
-    return {v: -v for v in c.vertices()}

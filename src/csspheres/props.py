@@ -83,7 +83,6 @@ class StackednessReport:
     """Smallest i such that all interior faces have dimension >= d - i."""
 
     min_i: int
-    exact: bool
     witness_interior_face: Face | None
 
 
@@ -101,16 +100,15 @@ def stackedness(b: Complex) -> StackednessReport:
         interior = b.faces_of_card(card) - rim.faces_of_card(card)
         if interior:
             witness = min(interior, key=face_key)
-            return StackednessReport(min_i=d - (card - 1), exact=True, witness_interior_face=witness)
+            return StackednessReport(min_i=d - (card - 1), witness_interior_face=witness)
     raise ClosedComplex("no interior face found; boundary equals the complex")
 
 
-def facet_necessary_check(face: Iterable[int], strict_first_pair: bool = False) -> bool:
+def facet_necessary_check(face: Iterable[int]) -> bool:
     """Arithmetic facet conditions on a face of even cardinality 2k.
 
     With entries sorted as |p_1| < ... < |p_2k|: (1) |p_2s| - |p_2s-1| <= 2
-    for 2 <= s <= k, and (2) |p_2| - |p_1| = 1, waived when |p_1| = 1 unless
-    `strict_first_pair` is set.
+    for 2 <= s <= k, and (2) |p_2| - |p_1| = 1, waived when |p_1| = 1.
     """
     face = canon_face(face)
     if not face:
@@ -124,7 +122,7 @@ def facet_necessary_check(face: Iterable[int], strict_first_pair: bool = False) 
     for s in range(2, k + 1):
         if p[2 * s - 1] - p[2 * s - 2] > 2:
             return False
-    if p[1] - p[0] != 1 and (strict_first_pair or p[0] != 1):
+    if p[1] - p[0] != 1 and p[0] != 1:
         return False
     return True
 

@@ -41,18 +41,6 @@ class IndexSet:
         if len(idx) >= 2 and idx[1] - idx[0] <= 1:
             raise InvalidIndexSet(f"first gap must exceed 1, got {idx[:2]}")
 
-    @classmethod
-    def parse(cls, n: int, text: str) -> "IndexSet":
-        """Parse a comma list such as "3,5,6" (empty string allowed)."""
-        try:
-            idx = tuple(sorted(int(t) for t in text.split(",") if t.strip()))
-        except ValueError:
-            raise InvalidIndexSet(f"index set must be a comma list of integers, got {text!r}") from None
-        return cls(n=n, indices=idx)
-
-    def serialize(self) -> str:
-        return ",".join(str(i) for i in self.indices)
-
 
 def enum_I(n: int) -> list[IndexSet]:
     """All admissible index sets for the given n, in lexicographic order."""

@@ -20,7 +20,7 @@ from .errors import InvalidParameters, NotPermutation, NotPure
 
 @dataclass(frozen=True)
 class ShellingOrder:
-    """A facet order plus per-position restriction faces once verified.
+    """A facet order checked by ``is_shelling``, with its restriction faces.
 
     ``failed_at`` is the 0-based index of the first violating position, or
     None when the order is a valid shelling.  ``restriction_faces`` is filled
@@ -28,15 +28,12 @@ class ShellingOrder:
     """
 
     facets: tuple[Face, ...]
-    restriction_faces: tuple[Face, ...] | None = None
-    failed_at: int | None = None
+    restriction_faces: tuple[Face, ...]
+    failed_at: int | None
 
     @property
     def valid(self) -> bool:
-        return self.failed_at is None and self.restriction_faces is not None
-
-    def __len__(self) -> int:
-        return len(self.facets)
+        return self.failed_at is None
 
 
 def is_shelling(c: Complex, order: Sequence[Iterable[int]]) -> ShellingOrder:
@@ -52,13 +49,11 @@ def is_shelling(c: Complex, order: Sequence[Iterable[int]]) -> ShellingOrder:
         fs = set(f)
         r = tuple(v for v in f if tuple(w for w in f if w != v) in covered)
         if pos and r in covered:
-            return ShellingOrder(
-                facets=facets, restriction_faces=tuple(restrictions), failed_at=pos
-            )
+            return ShellingOrder(facets, tuple(restrictions), failed_at=pos)
         restrictions.append(r)
         for card in range(0, len(f) + 1):
             covered.update(itertools.combinations(f, card))
-    return ShellingOrder(facets=facets, restriction_faces=tuple(restrictions), failed_at=None)
+    return ShellingOrder(facets, tuple(restrictions), failed_at=None)
 
 
 def _b31_block(n: int) -> list[Face]:
@@ -83,7 +78,7 @@ def _b31_block(n: int) -> list[Face]:
     return order
 
 
-def symmetric_shelling_delta3(n: int) -> ShellingOrder:
+def symmetric_shelling_delta3(n: int) -> tuple[Face, ...]:
     """Symmetric shelling order (F_1..F_m, -F_m..-F_1) of build_delta(3, n).
 
     First half: the 1-stacked ball block, then for k = n down to 5 the shell
@@ -106,11 +101,10 @@ def symmetric_shelling_delta3(n: int) -> ShellingOrder:
     half.append(canon_face((-1, -2, -3, 4)))
     half.append(canon_face((1, -2, 3, -4)))
     half.append(canon_face((1, 2, -3, 4)))
-    full = tuple(half) + tuple(antipode_face(f) for f in reversed(half))
-    return ShellingOrder(facets=full)
+    return tuple(half) + tuple(antipode_face(f) for f in reversed(half))
 
 
-def shelling_B42(n: int) -> ShellingOrder:
+def shelling_B42(n: int) -> tuple[Face, ...]:
     """Shelling of build_B(4, 2, n) induced by the symmetric 3-sphere shelling.
 
     Reverse the symmetric shelling of build_delta(3, n-1); its prefix on the
@@ -120,12 +114,10 @@ def shelling_B42(n: int) -> ShellingOrder:
     if n < 5:
         raise InvalidParameters(f"shelling_B42 requires n >= 5, got {n}")
     m = n - 1
-    sym = symmetric_shelling_delta3(m).facets
-    reversed_order = tuple(reversed(sym))
+    reversed_order = symmetric_shelling_delta3(m)[::-1]
     block_size = 2 * m - 3  # facets of the 1-stacked ball block
     o1 = reversed_order[:block_size]
     o2 = reversed_order[: len(reversed_order) - block_size]
     neg_ball = build_B(3, 1, m).antipode()
     assert set(o1) == neg_ball.facets, "reversed order does not start on the antipodal ball"
-    order = tuple(canon_face(f + (n,)) for f in o2) + tuple(canon_face(f + (-n,)) for f in o1)
-    return ShellingOrder(facets=order)
+    return tuple(canon_face(f + (n,)) for f in o2) + tuple(canon_face(f + (-n,)) for f in o1)

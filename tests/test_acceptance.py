@@ -40,12 +40,7 @@ from csspheres.core import (
 )
 from csspheres.errors import IndexOutOfRange
 from csspheres.flips import build_gamma, fg_pair
-from csspheres.iso import (
-    antipodal_map,
-    automorphisms,
-    identity_map,
-    isomorphic,
-)
+from csspheres.iso import automorphisms, isomorphic
 from csspheres.props import (
     cs_neighborliness,
     delta3_facet_formula,
@@ -363,8 +358,7 @@ def test_criterion_09_shelling_suite():
     t0 = time.time()
     for n in range(4, 13):
         delta = build_delta(3, n)
-        order = symmetric_shelling_delta3(n)
-        res = is_shelling(delta, order.facets)
+        res = is_shelling(delta, symmetric_shelling_delta3(n))
         assert res.valid, n
         m = len(res.facets) // 2
         assert all(res.facets[m + j] == antipode(res.facets[m - 1 - j]) for j in range(m))
@@ -378,7 +372,7 @@ def test_criterion_09_shelling_suite():
         assert res.restriction_faces[res.facets.index(canon_face((1, 2, -3, 4)))] == (2, -3)
     for n in range(5, 10):
         ball = build_B(4, 2, n)
-        assert is_shelling(ball, shelling_B42(n).facets).valid, n
+        assert is_shelling(ball, shelling_B42(n)).valid, n
     assert build_B(4, 2, 6).boundary().with_ambient(6) == build_delta(3, 6)
     _report(9, "symmetric shellings n=4..12 + stacked-4-ball shellings n=5..9", t0)
 
@@ -388,7 +382,7 @@ def test_criterion_10_automorphisms():
     for n in range(7, 11):
         delta = build_delta(3, n)
         assert automorphisms(delta) == sorted(
-            [identity_map(delta), antipodal_map(delta)],
+            [{v: v for v in delta.vertices()}, {v: -v for v in delta.vertices()}],
             key=lambda m: tuple(
                 (abs(m[v]), m[v] < 0) for v in sorted(m, key=lambda x: (abs(x), x < 0))
             ),
@@ -396,7 +390,8 @@ def test_criterion_10_automorphisms():
     for n in range(9, 13):
         delta = build_delta(5, n)
         maps = automorphisms(delta)
-        assert len(maps) == 2 and identity_map(delta) in maps and antipodal_map(delta) in maps, n
+        identity, antipodal = {v: v for v in delta.vertices()}, {v: -v for v in delta.vertices()}
+        assert len(maps) == 2 and identity in maps and antipodal in maps, n
     _report(10, "only {id, antipode}: delta(3, 7..10) and delta(5, 9..12) by exhaustive search", t0)
 
 

@@ -199,6 +199,17 @@ def test_memoization_transparency():
     builders.cache_clear()
 
 
+def test_cache_clear_survives_rebound_builders(monkeypatch):
+    # cache_clear must not look the memoized builders up by module name
+    original = builders.build_delta
+    monkeypatch.setattr(builders, "build_delta", lambda d, n: original(d, n))
+    warm = build_delta(3, 6)
+    builders.cache_clear()
+    assert original.cache_info().currsize == 0
+    cold = builders.build_delta(3, 6)
+    assert cold is not warm and cold == warm
+
+
 def test_squeezed_ball():
     sq = squeezed_ball(2, 5)
     assert sq.facets == {(1, 2, 3, 4), (1, 2, 4, 5), (2, 3, 4, 5)}

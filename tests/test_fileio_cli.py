@@ -306,11 +306,13 @@ def test_cli_error_exit_codes(tmp_path):
     [
         (["build", "delta-i", "--n", "12", "--i-set", "3,x"], None),
         (["flips", "--k", "2", "--n", "10", "--j", "3,y"], None),
+        (["flips", "--k", "2", "--n", "10", "--j", "3,3"], None),
+        (["build", "delta-i", "--n", "12", "--i-set", "3,3"], None),
         (["export", "{path}", "--format", "text"], '{"facets": 5}'),
         (["export", "{path}", "--format", "text"], '{"facets": [1, 2]}'),
         (["export", "{path}", "--format", "json"], "# dim=x\n1 2\n"),
     ],
-    ids=["i-set", "j", "facets-int", "facets-flat", "header-dim"],
+    ids=["i-set", "j", "j-repeat", "i-set-repeat", "facets-int", "facets-flat", "header-dim"],
 )
 def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, content):
     path = tmp_path / "input"
@@ -319,6 +321,13 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, content):
     assert main([a.replace("{path}", str(path)) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_index_lists_allow_spaces_and_any_order(capsys):
+    assert main(["flips", "--k", "2", "--n", "10", "--j", "3,5"]) == 0
+    sorted_out = capsys.readouterr().out
+    assert main(["flips", "--k", "2", "--n", "10", "--j", "5, 3"]) == 0
+    assert capsys.readouterr().out == sorted_out
 
 
 @pytest.mark.parametrize(

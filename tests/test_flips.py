@@ -1,4 +1,4 @@
-"""Bistellar flips: the generic move, the (F_i, G_i) pairs, and flip plans."""
+"""Bistellar flips: the generic move, the (F_i, G_i) pairs, and the flipped spheres."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from csspheres.errors import (
     InvalidParameters,
     LinkMismatch,
 )
-from csspheres.flips import FlipPlan, bistellar_flip, build_gamma, fg_pair
+from csspheres.flips import bistellar_flip, build_gamma, fg_pair
 from csspheres.props import cs_neighborliness, is_cs
 
 
@@ -100,14 +100,9 @@ def test_gamma_neighborliness():
     assert cs_neighborliness(gamma).max_i >= 2
 
 
-def test_flip_plan_bounds_and_serialization():
-    plan = FlipPlan.parse("3 15 3,5,4")
-    assert plan.indices == (3, 4, 5)
-    assert plan.serialize() == "3 15 3,4,5"
-    assert FlipPlan.parse("2 13").indices == ()
+def test_build_gamma_index_bounds():
+    build_gamma(3, 13, (3, 4))  # [3, n-4k+3] is admissible
     with pytest.raises(IndexOutOfRange):
-        FlipPlan(k=3, n=13, indices=(5,))  # G_5 would need vertex 14
-    with pytest.raises(IndexOutOfRange):
-        build_gamma(3, 13, (5,))
+        build_gamma(3, 13, (5,))  # G_5 would need vertex 14
     with pytest.raises(IndexOutOfRange):
         build_gamma(2, 10, (2,))

@@ -18,26 +18,18 @@ from csspheres.errors import SearchBudgetExceeded
 from csspheres.flips import build_gamma
 from csspheres.props import edge_link_census
 from csspheres.sew3 import build_delta_I, enum_I
-from csspheres.iso import (
-    antipodal_map,
-    apply_vertex_map,
-    automorphisms,
-    canonical_form,
-    identity_map,
-    isomorphic,
-    necessary_conditions,
-)
+from csspheres.iso import automorphisms, canonical_form, isomorphic, necessary_conditions
 
 from oracles import brute_force_automorphisms, brute_force_isomorphism
 
 
 def test_automorphisms_cross():
-    auts = automorphisms(cross_polytope(3))
+    octa = cross_polytope(3)
+    auts = automorphisms(octa)
     assert len(auts) == 48  # signed permutations: 2^3 * 3!
-    ids = identity_map(cross_polytope(3))
-    assert ids in auts and antipodal_map(cross_polytope(3)) in auts
+    assert {v: v for v in octa.vertices()} in auts and {v: -v for v in octa.vertices()} in auts
     for m in auts[:10]:
-        assert apply_vertex_map(m, cross_polytope(3)) == cross_polytope(3)
+        assert octa.relabel(m.__getitem__, 3) == octa
 
 
 def test_automorphisms_delta():
@@ -45,7 +37,7 @@ def test_automorphisms_delta():
         d = build_delta(3, n)
         auts = automorphisms(d)
         assert auts == sorted(
-            [identity_map(d), antipodal_map(d)],
+            [{v: v for v in d.vertices()}, {v: -v for v in d.vertices()}],
             key=lambda m: tuple((abs(m[v]), m[v] < 0) for v in sorted(m, key=lambda x: (abs(x), x < 0))),
         )
 
@@ -61,17 +53,17 @@ def test_isomorphic_lambda_delta():
         lam, d = build_lambda(3, n), build_delta(3, n)
         witness = isomorphic(lam, d)
         assert witness is not None
-        assert apply_vertex_map(witness, lam, d.ambient_n) == d
+        assert lam.relabel(witness.__getitem__, d.ambient_n) == d
     assert isomorphic(build_lambda(3, 7), build_delta(3, 7)) is None
 
 
 def test_isomorphic_relabeled():
     d = build_delta(3, 6)
-    relabeled = apply_vertex_map(antipodal_map(d), d)
+    relabeled = d.antipode()
     w = isomorphic(d, relabeled)
     assert w is not None
     # composing the witness with itself through the map identity checks out
-    assert apply_vertex_map(w, d) == relabeled
+    assert d.relabel(w.__getitem__, d.ambient_n) == relabeled
 
 
 def test_necessary_conditions_cascade():

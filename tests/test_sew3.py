@@ -38,9 +38,8 @@ def test_index_set_validation():
         IndexSet(12, (2,))
     with pytest.raises(InvalidIndexSet):
         IndexSet(12, (7,))
-    assert IndexSet.parse(12, "5,3").indices == (3, 5)
-    assert IndexSet.parse(12, "").indices == ()
-    assert IndexSet(12, (3, 5)).serialize() == "3,5"
+    with pytest.raises(InvalidIndexSet):
+        IndexSet(12, (5, 3))
 
 
 def _positive_through_12(faces) -> set:

@@ -72,8 +72,7 @@ def test_verifier_agrees_with_purity_oracle():
 @pytest.mark.parametrize("n", range(4, 10))
 def test_symmetric_shelling_delta3(n):
     d = build_delta(3, n)
-    order = symmetric_shelling_delta3(n)
-    res = is_shelling(d, order.facets)
+    res = is_shelling(d, symmetric_shelling_delta3(n))
     assert res.valid
     m = len(res.facets) // 2
     assert m == n * n - 2 * n
@@ -87,7 +86,7 @@ def test_symmetric_shelling_delta3(n):
 
 def test_symmetric_shelling_restriction_faces():
     n = 7
-    res = is_shelling(build_delta(3, n), symmetric_shelling_delta3(n).facets)
+    res = is_shelling(build_delta(3, n), symmetric_shelling_delta3(n))
     # ball block: restriction faces are single vertices (after the root)
     block = 2 * n - 3
     assert res.restriction_faces[0] == ()
@@ -110,7 +109,7 @@ def test_symmetric_shelling_restriction_faces():
 
 def test_second_half_restrictions_are_complements():
     n = 6
-    res = is_shelling(build_delta(3, n), symmetric_shelling_delta3(n).facets)
+    res = is_shelling(build_delta(3, n), symmetric_shelling_delta3(n))
     m = len(res.facets) // 2
     for j in range(m):
         mirrored = antipode(res.restriction_faces[m - 1 - j])
@@ -121,16 +120,15 @@ def test_second_half_restrictions_are_complements():
 def test_reverse_of_sphere_shelling_is_shelling():
     for n in (4, 5, 6):
         d = build_delta(3, n)
-        order = symmetric_shelling_delta3(n).facets
-        assert is_shelling(d, order[::-1]).valid
+        assert is_shelling(d, symmetric_shelling_delta3(n)[::-1]).valid
 
 
 def test_shelling_b42():
     for n in range(5, 9):
         b = build_B(4, 2, n)
         order = shelling_B42(n)
-        assert set(order.facets) == b.facets
-        assert is_shelling(b, order.facets).valid
+        assert set(order) == b.facets
+        assert is_shelling(b, order).valid
     with pytest.raises(InvalidParameters):
         shelling_B42(4)
     with pytest.raises(InvalidParameters):
