@@ -22,7 +22,6 @@ from .core import (
     Face,
     FHVectors,
     TopologyReport,
-    antipode,
     canon_face,
     cone,
     face_key,
@@ -58,7 +57,6 @@ __all__ = [
     "IndexSet",
     "ShellingOrder",
     "TopologyReport",
-    "antipode",
     "automorphisms",
     "bistellar_flip",
     "build_B",

@@ -20,9 +20,8 @@ memoized with ``functools.cache``, which is safe to call from several threads.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
 
-from .core import Complex, antipode_face, canon_face, cone, from_walk
+from .core import Complex, antipode_face, cone, from_walk
 from .errors import InvalidParameters, NegativeLabel, NotSubcomplex, SharedFacets
 
 
@@ -118,11 +117,6 @@ def cache_clear() -> None:
         f.cache_clear()
 
 
-def lambda_ground(n: int) -> tuple[int, ...]:
-    """Positive labels of the W_n vertex set {±3, ..., ±(n+2)}."""
-    return tuple(range(3, n + 3))
-
-
 def squeezed_facet_family(k: int, n: int) -> list[tuple[int, ...]]:
     """Gale-form facets {i_1, i_1+1, ..., i_k, i_k+1} in [n] with gaps >= 2."""
     if k < 1 or n < k + 1:
@@ -140,33 +134,16 @@ def squeezed_facet_family(k: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def is_squeezed_facet(face: Iterable[int]) -> bool:
-    """True iff `face` has the Gale form {i_1, i_1+1, ..., i_k, i_k+1}, gaps >= 2."""
-    face = sorted(face)
-    if not face or len(face) % 2 or face[0] < 1:
-        return False
-    pairs = [(face[j], face[j + 1]) for j in range(0, len(face), 2)]
-    if any(b != a + 1 for a, b in pairs):
-        return False
-    return all(pairs[j + 1][0] >= pairs[j][0] + 2 for j in range(len(pairs) - 1))
-
-
 def squeezed_ball(k: int, n: int) -> Complex:
     """The ball generated by the full Gale-form facet family on [n]."""
     return Complex(squeezed_facet_family(k, n), n)
 
 
-def rho_embed(x):
-    """Relabel positive vertices by i -> 2i+1 (Face or Complex in, same kind out)."""
-    if isinstance(x, Complex):
-        verts = x.vertices()
-        if any(v < 0 for v in verts):
-            raise NegativeLabel("rho_embed requires all labels positive")
-        return x.relabel(lambda v: 2 * v + 1, 2 * x.ambient_n + 1)
-    face = canon_face(x)
-    if any(v < 0 for v in face):
+def rho_embed(c: Complex) -> Complex:
+    """Relabel the all-positive complex `c` by i -> 2i+1, onto V_{2n+1}."""
+    if any(v < 0 for v in c.vertices()):
         raise NegativeLabel("rho_embed requires all labels positive")
-    return tuple(2 * v + 1 for v in face)
+    return c.relabel(lambda v: 2 * v + 1, 2 * c.ambient_n + 1)
 
 
 def lambda_squeezed(k: int, n: int, ball: Complex) -> Complex:
@@ -176,12 +153,11 @@ def lambda_squeezed(k: int, n: int, ball: Complex) -> Complex:
     boundaries from the new vertex pair ±(2n+2); the result is a cs
     combinatorial (2k-1)-sphere whose link at 2n+2 remembers the ball.
     """
-    if k < 1 or n < k + 1:
-        raise InvalidParameters(f"lambda_squeezed requires k >= 1 and n >= k+1, got k={k}, n={n}")
+    family = set(squeezed_facet_family(k, n))  # also checks k and n
     if ball.dim != 2 * k - 1:
         raise InvalidParameters(f"ball must be ({2 * k - 1})-dimensional, got dim {ball.dim}")
-    if not all(is_squeezed_facet(f) for f in ball.facets):
-        raise InvalidParameters("ball facets must be in Gale (squeezed) form")
+    if not ball.facets <= family:
+        raise InvalidParameters(f"ball facets must be Gale-form (squeezed) facets on [{n}]")
     lam = build_lambda(2 * k - 1, 2 * n - 1)
     image = rho_embed(ball).with_ambient(lam.ambient_n)
     return sew(lam, image)

@@ -94,17 +94,22 @@ class Complex:
             for v in face:
                 if abs(v) > ambient_n:
                     raise InvalidParameters(f"label {v} exceeds ambient bound {ambient_n}")
-        # Reduce to an antichain. Same-cardinality distinct sets can never be
-        # nested, so the reduction only runs for mixed cardinalities.
+        # Reduce to an antichain. Distinct faces of one size never nest, so
+        # only faces below the top size are checked, each against the kept
+        # faces through its vertex with the fewest of them.
         if len({len(f) for f in canon}) > 1:
-            by_size = sorted(canon, key=len, reverse=True)
-            kept: list[frozenset[int]] = []
+            top = max(map(len, canon))
+            index: dict[int, list[frozenset[int]]] = {}
             maximal = set()
-            for face in by_size:
+            for face in sorted(canon, key=len, reverse=True):
                 fs = frozenset(face)
-                if not any(fs < big for big in kept):
-                    kept.append(fs)
-                    maximal.add(face)
+                if len(face) < top and (
+                    not face or any(fs <= big for big in min((index.get(v, ()) for v in face), key=len))
+                ):
+                    continue
+                maximal.add(face)
+                for v in face:
+                    index.setdefault(v, []).append(fs)
             canon = maximal
         self._assign(frozenset(canon), ambient_n)
 
@@ -345,13 +350,6 @@ class Complex:
 # ----------------------------------------------------------------------
 # module-level operations
 # ----------------------------------------------------------------------
-
-
-def antipode(x):
-    """Antipode of a Face or a Complex (same kind out)."""
-    if isinstance(x, Complex):
-        return x.antipode()
-    return antipode_face(x)
 
 
 def simplex(vertices: Iterable[int], ambient_n: int) -> Complex:

@@ -2,16 +2,16 @@
 facet conditions, and edge-link censuses.
 
 Neighborliness is always measured against a ground set of positive labels
-(default 1..ambient_n): a complex is cs-i-neighborly w.r.t. that ground when
-every i of its vertices, no two antipodal, span a face — equivalently its
-(i-1)-skeleton equals that of the cross-polytope boundary on the ground set.
+(default 1..ambient_n; for the edge-link spheres on W_n it is 3..n+2): a
+complex is cs-i-neighborly w.r.t. that ground when every i of the vertices
+±ground, no two antipodal, span a face.  `cs_neighborliness` checks exactly that, size
+by size, and reports the least antipode-free subset that is not a face.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable
 
 from .core import Complex, Face, antipode_face, canon_face, face_key
@@ -50,32 +50,25 @@ def _antipode_free_subsets(ground: tuple[int, ...], size: int):
 
 
 def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> NeighborlinessReport:
-    """Exhaustive skeleton comparison against the cross-polytope on `ground`.
+    """The definition, level by level: the least missing antipode-free subset.
 
     `ground` is the set of positive labels of the reference vertex pairs
-    (defaults to 1..ambient_n).  The i-faces with i distinct absolute labels
-    in `ground` are counted against 2^i·C(|ground|, i); subsets of the
-    ground are enumerated only to find the least missing one.
+    (defaults to 1..ambient_n).  For i = 1, 2, ... the antipode-free
+    i-subsets of ±ground are looked up, in canonical order, in the memoised
+    i-faces of `c`; the first one missing is the witness and max_i = i - 1.
+    When none is missing at any size, max_i = |ground| and `exact` is False.
     """
     if ground is None:
         ground = range(1, c.ambient_n + 1)
     ground = tuple(sorted(set(ground)))
     if any(g <= 0 for g in ground):
         raise InvalidParameters("ground must consist of positive labels")
-    cap = len(ground)
-    ground_set = set(ground)
-    max_i = 0
-    for i in range(1, cap + 1):
-        faces = c.faces_of_card(i)
-        inside = sum(1 for f in faces if len(ls := {abs(v) for v in f}) == i and ls <= ground_set)
-        if inside < 2**i * comb(cap, i):
-            break
-        max_i = i
-    witness = None
-    if max_i < cap:
-        have = c.faces_of_card(max_i + 1)
-        witness = next(s for s in _antipode_free_subsets(ground, max_i + 1) if s not in have)
-    return NeighborlinessReport(max_i=max_i, exact=witness is not None, witness=witness)
+    for i in range(1, len(ground) + 1):
+        have = c.faces_of_card(i)
+        witness = next((s for s in _antipode_free_subsets(ground, i) if s not in have), None)
+        if witness is not None:
+            return NeighborlinessReport(max_i=i - 1, exact=True, witness=witness)
+    return NeighborlinessReport(max_i=len(ground), exact=False, witness=None)
 
 
 @dataclass(frozen=True)

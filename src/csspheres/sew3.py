@@ -17,7 +17,7 @@ from typing import Hashable, Iterable, Mapping
 
 from .builders import build_delta, sew
 from .core import Complex, Face, canon_face, face_key
-from .errors import InvalidIndexSet, NTooSmall
+from .errors import InvalidIndexSet, InvalidParameters, NTooSmall
 
 MIN_N = 10
 
@@ -138,7 +138,8 @@ def build_T(index_set: IndexSet) -> FacetTree:
     for a, b in edges:
         assert len(set(a) & set(b)) == 3, f"tree edge {a}-{b} shares no ridge"
     adjacency = _adjacency(nodes, edges)
-    assert len(adjacency) == len(nodes) == len(edges) + 1 and _connected(adjacency)
+    assert len(adjacency) == len(nodes), "a tree edge leaves the node set"
+    _center(adjacency)  # raises unless the nodes and edges form a tree
 
     order = sorted(nodes, key=face_key)
     canon_edges = tuple(
@@ -166,17 +167,6 @@ def _adjacency(nodes: Iterable[Hashable], edges: Iterable[tuple]) -> dict[Hashab
     return adjacency
 
 
-def _connected(adjacency: Mapping) -> bool:
-    start = next(iter(adjacency))
-    seen, stack = {start}, [start]
-    while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(adjacency)
-
-
 def _ahu_code(adj: dict, root, parent) -> str:
     children = sorted(
         (_ahu_code(adj, c, root) for c in adj[root] if c != parent)
@@ -185,12 +175,22 @@ def _ahu_code(adj: dict, root, parent) -> str:
 
 
 def _center(adj: dict) -> list:
-    # iterative leaf stripping; the one or two middle vertices survive
+    """The one or two middle vertices of a tree, by iterative leaf stripping.
+
+    This is the one tree check: raises InvalidParameters unless the degree
+    sum is 2(|V| - 1) and stripping leaves reaches the last two vertices.
+    With |V| - 1 edges, a graph that is not a tree has a cycle, which is
+    never stripped.
+    """
     degrees = {v: len(nb) for v, nb in adj.items()}
+    if sum(degrees.values()) != 2 * (len(adj) - 1):
+        raise InvalidParameters(f"not a tree: {len(adj)} nodes need {len(adj) - 1} edges")
     layer = [v for v, d in degrees.items() if d <= 1]
     remaining = len(adj)
     removed = set()
     while remaining > 2:
+        if not layer:
+            raise InvalidParameters("not a tree: the graph has a cycle")
         nxt = []
         for leaf in layer:
             removed.add(leaf)
@@ -225,6 +225,4 @@ def tree_isomorphic(t1: FacetTree | Mapping, t2: FacetTree | Mapping) -> bool:
     """
     g1 = _adjacency(t1.nodes, t1.edges) if isinstance(t1, FacetTree) else t1
     g2 = _adjacency(t2.nodes, t2.edges) if isinstance(t2, FacetTree) else t2
-    if len(g1) != len(g2):
-        return False
     return tree_canonical_code(g1) == tree_canonical_code(g2)

@@ -46,7 +46,6 @@ def is_shelling(c: Complex, order: Sequence[Iterable[int]]) -> ShellingOrder:
     covered: set[Face] = set()
     restrictions: list[Face] = []
     for pos, f in enumerate(facets):
-        fs = set(f)
         r = tuple(v for v in f if tuple(w for w in f if w != v) in covered)
         if pos and r in covered:
             return ShellingOrder(facets, tuple(restrictions), failed_at=pos)

@@ -41,6 +41,13 @@ def cs_neighborliness(facets, ground) -> tuple[int, tuple[int, ...] | None]:
     return len(ground), None
 
 
+def maximal_faces(faces) -> set[frozenset[int]]:
+    """The inclusion-maximal members of a family of vertex sets, by comparing
+    every pair."""
+    sets = {frozenset(f) for f in faces}
+    return {f for f in sets if not any(f < g for g in sets)}
+
+
 def coface_counts(facets, card: int) -> dict[tuple[int, ...], int]:
     """For every face with `card` vertices, how many vertices extend it to a face.
 

@@ -226,12 +226,12 @@ def test_squeezed_ball():
 
 
 def test_rho_embed():
-    assert rho_embed((1, 2, 3, 4)) == (3, 5, 7, 9)
+    assert rho_embed(Complex([(1, 2, 3, 4)], 4)) == Complex([(3, 5, 7, 9)], 9)
     assert rho_embed(Complex([], 4)).is_void
     from csspheres.errors import NegativeLabel
 
     with pytest.raises(NegativeLabel):
-        rho_embed((-1, 2))
+        rho_embed(Complex([(-1, 2)], 2))
     for k, n in [(1, 5), (2, 5), (2, 6)]:
         image = rho_embed(squeezed_ball(k, n))
         lam = build_lambda(2 * k - 1, 2 * n - 1)
@@ -254,10 +254,16 @@ def test_lambda_squeezed():
 
 
 def test_lambda_squeezed_rejects_bad_balls():
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidParameters, match="Gale"):
         lambda_squeezed(2, 5, Complex([(1, 2, 3, 5)], 5))  # not Gale form
+    with pytest.raises(InvalidParameters, match=r"Gale-form .* on \[5\]"):
+        lambda_squeezed(2, 5, Complex([(1, 2, 6, 7)], 7))  # Gale form, but not on [5]
     with pytest.raises(InvalidParameters):
         lambda_squeezed(2, 5, Complex([(1, 2, 3)], 5))  # wrong dimension
+    with pytest.raises(InvalidParameters):
+        lambda_squeezed(2, 5, Complex([], 5))  # void
+    with pytest.raises(InvalidParameters):
+        lambda_squeezed(0, 5, squeezed_ball(1, 5))  # k < 1
 
 
 def test_concurrent_builds_are_consistent():
@@ -285,8 +291,7 @@ def test_top_edge_link_recursion():
 def test_lambda_even_dimension():
     lam = build_lambda(2, 6)
     assert is_cs(lam)
-    from csspheres.builders import lambda_ground
     from csspheres.props import cs_neighborliness
 
-    assert cs_neighborliness(lam, lambda_ground(6)).max_i >= 1
+    assert cs_neighborliness(lam, range(3, 6 + 3)).max_i >= 1
     assert topology_report(lam).is_sphere()

@@ -13,7 +13,7 @@ from csspheres import core
 from csspheres.builders import build_B, build_delta, cross_polytope, sew
 from csspheres.core import (
     Complex,
-    antipode,
+    antipode_face,
     canon_face,
     cone,
     face_key,
@@ -38,7 +38,7 @@ from csspheres.flips import build_gamma
 from csspheres.gf2 import gf2_pivots
 from csspheres.sew3 import build_delta_I, enum_I
 
-from oracles import closure, connected, f_vector, gf2_rank, h_vector, pack_rows, z2_betti
+from oracles import closure, connected, f_vector, gf2_rank, h_vector, maximal_faces, pack_rows, z2_betti
 
 import networkx as nx
 
@@ -131,12 +131,12 @@ def test_trusted_constructor_outputs_are_canonical(build):
 
 
 def test_antipode_roundtrip():
-    assert antipode(()) == ()
-    assert antipode((1, -3)) == (-1, 3)
+    assert antipode_face(()) == ()
+    assert antipode_face((1, -3)) == (-1, 3)
     d15 = build_delta(1, 5)
-    assert antipode(d15) == d15  # equal facet sets
+    assert d15.antipode() == d15  # equal facet sets
     b = build_B(3, 1, 6)
-    assert antipode(antipode(b)) == b
+    assert b.antipode().antipode() == b
 
 
 def test_has_face():
@@ -462,6 +462,13 @@ small_complexes = st.lists(
 @given(small_complexes)
 def test_face_walk_matches_oracle_on_random_complexes(facets):
     _check_face_walk(Complex(facets, 5))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_complexes)
+def test_antichain_reduction_matches_brute_force(faces):
+    # mixed sizes, repeats and () included: the facets are the maximal faces
+    assert {frozenset(f) for f in Complex(faces, 5).facets} == maximal_faces(faces)
 
 
 def _reduces_to_zero(row: int, pivots: dict[int, int]) -> bool:

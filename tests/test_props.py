@@ -6,13 +6,14 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csspheres.builders import (
     build_B,
     build_delta,
     build_lambda,
     cross_polytope,
-    lambda_ground,
 )
 from csspheres.core import Complex, canon_face, simplex, topology_report
 from csspheres.errors import ClosedComplex, InvalidParameters, OddCardinality
@@ -70,7 +71,7 @@ def test_cs_neighborliness_balls():
 
 def test_cs_neighborliness_w_ground():
     lam = build_lambda(3, 8)
-    rep = cs_neighborliness(lam, lambda_ground(8))
+    rep = cs_neighborliness(lam, range(3, 8 + 3))
     assert rep.max_i == 2
     # against the default V-ground the vertex 1 is missing entirely
     assert cs_neighborliness(lam).max_i == 0
@@ -83,7 +84,7 @@ def test_cs_neighborliness_w_ground():
         (lambda: build_delta(3, 6), None, (2, (1, -2, -3))),
         (lambda: build_B(5, 2, 8), None, None),
         (lambda: build_B(4, 0, 7), None, None),
-        (lambda: build_lambda(3, 8), lambda_ground(8), None),
+        (lambda: build_lambda(3, 8), range(3, 8 + 3), None),
         (lambda: build_lambda(3, 8), None, (0, (1,))),
         (lambda: build_delta(3, 6), (1, 3, 4), None),
         # the facet (1,-1,2) carries the edges (1,-1), (1,2), (-1,2): four
@@ -100,6 +101,24 @@ def test_cs_neighborliness_matches_enumeration_oracle(build, ground, want):
     assert rep.exact == (rep.witness is not None)
     if want is not None:
         assert oracle == want
+
+
+# a random set of cross-polytope facets (so every level can be the first
+# incomplete one) plus a few random faces, which may hold an antipodal pair
+# or a label outside the ground
+CROSS4 = sorted(cross_polytope(4).facets)
+random_complexes = st.tuples(
+    st.lists(st.sampled_from(CROSS4), unique=True),
+    st.lists(st.sets(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]), max_size=5).map(tuple), max_size=4),
+).map(lambda parts: Complex(parts[0] + parts[1], 4))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(random_complexes, st.sets(st.integers(1, 5), max_size=5))
+def test_cs_neighborliness_matches_oracle_on_random_complexes(c, ground):
+    rep = cs_neighborliness(c, ground)
+    assert (rep.max_i, rep.witness) == neighborliness_oracle(c.facets, ground)
+    assert rep.exact == (rep.witness is not None)
 
 
 def test_stackedness():

@@ -9,7 +9,7 @@ import pytest
 
 from csspheres.builders import build_delta
 from csspheres.core import canon_face, facet_ridge_graph, topology_report
-from csspheres.errors import InvalidIndexSet, NTooSmall
+from csspheres.errors import InvalidIndexSet, InvalidParameters, NTooSmall
 from csspheres.props import cs_neighborliness, edge_link_census, is_cs, stackedness
 from csspheres.sew3 import (
     IndexSet,
@@ -160,6 +160,25 @@ def test_tree_isomorphic_basics():
     assert not tree_isomorphic(path4, star4)
     relabeled = nx.relabel_nodes(path4, {0: "a", 1: "b", 2: "c", 3: "d"})
     assert tree_isomorphic(path4, relabeled)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {1: [2, 3], 2: [1, 3], 3: [1, 2]},
+        {1: [2], 2: [1], 3: [4], 4: [3]},
+        {1: [2, 3], 2: [1, 3], 3: [1, 2], 4: []},
+    ],
+    ids=["cycle3", "two_edges", "triangle_and_point"],
+)
+def test_non_trees_are_refused(graph):
+    path = {v: [w for w in (v - 1, v + 1) if w in graph] for v in graph}
+    with pytest.raises(InvalidParameters):
+        tree_canonical_code(graph)
+    with pytest.raises(InvalidParameters):
+        tree_isomorphic(graph, graph)
+    with pytest.raises(InvalidParameters):
+        tree_isomorphic(path, graph)
 
 
 def test_ahu_agrees_with_networkx_on_random_trees():

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from csspheres.builders import build_B, build_delta, cross_polytope, squeezed_ball
-from csspheres.core import antipode, canon_face, simplex
+from csspheres.core import antipode_face, canon_face, simplex
 from csspheres.errors import InvalidParameters, NotPermutation, NotPure
 from csspheres.shelling import is_shelling, shelling_B42, symmetric_shelling_delta3
 
@@ -78,10 +78,10 @@ def test_symmetric_shelling_delta3(n):
     assert m == n * n - 2 * n
     # symmetric shape: second half is the reversed antipodal first half
     for j in range(m):
-        assert res.facets[m + j] == antipode(res.facets[m - 1 - j])
+        assert res.facets[m + j] == antipode_face(res.facets[m - 1 - j])
     # no antipodal pair inside the first half
     first = set(res.facets[:m])
-    assert not any(antipode(f) in first for f in first)
+    assert not any(antipode_face(f) in first for f in first)
 
 
 def test_symmetric_shelling_restriction_faces():
@@ -112,7 +112,7 @@ def test_second_half_restrictions_are_complements():
     res = is_shelling(build_delta(3, n), symmetric_shelling_delta3(n))
     m = len(res.facets) // 2
     for j in range(m):
-        mirrored = antipode(res.restriction_faces[m - 1 - j])
+        mirrored = antipode_face(res.restriction_faces[m - 1 - j])
         expected = set(res.facets[m + j]) - set(mirrored)
         assert set(res.restriction_faces[m + j]) == expected
 
