@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 
 from .core import Complex, antipode_face, cone, from_walk
-from .errors import InvalidParameters, NegativeLabel, NotSubcomplex, SharedFacets
+from .errors import InvalidParameters
 
 
 @functools.cache
@@ -76,12 +76,12 @@ def sew(gamma: Complex, ball: Complex) -> Complex:
     sharing no facets with its antipode.
     """
     if ball.is_void or not ball.is_pure or ball.dim != gamma.dim:
-        raise NotSubcomplex("sew needs a pure full-dimensional ball inside the sphere")
+        raise InvalidParameters("sew needs a pure full-dimensional ball inside the sphere")
     neg = ball.antipode()
     if not ball.facets <= gamma.facets or not neg.facets <= gamma.facets:
-        raise NotSubcomplex("ball (or its antipode) is not a full-dimensional subcomplex")
+        raise InvalidParameters("ball (or its antipode) is not a full-dimensional subcomplex")
     if ball.facets & neg.facets:
-        raise SharedFacets("ball shares facets with its antipode")
+        raise InvalidParameters("ball shares facets with its antipode")
     v = gamma.ambient_n + 1
     rim = ball.boundary()
     new_facets = set(gamma.facets) - ball.facets - neg.facets
@@ -142,7 +142,7 @@ def squeezed_ball(k: int, n: int) -> Complex:
 def rho_embed(c: Complex) -> Complex:
     """Relabel the all-positive complex `c` by i -> 2i+1, onto V_{2n+1}."""
     if any(v < 0 for v in c.vertices()):
-        raise NegativeLabel("rho_embed requires all labels positive")
+        raise InvalidParameters("rho_embed requires all labels positive")
     return c.relabel(lambda v: 2 * v + 1, 2 * c.ambient_n + 1)
 
 

@@ -99,7 +99,7 @@ def cmd_build(args) -> int:
     needs, build = _BUILDS[args.kind]
     missing = [f"--{p}" for p in needs if getattr(args, p) is None]
     if missing:
-        raise CsspheresError(f"build {args.kind} requires {', '.join(missing)}")
+        raise InvalidParameters(f"build {args.kind} requires {', '.join(missing)}")
     _emit(build(args), args)
     return 0
 

@@ -23,14 +23,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
-from .errors import (
-    DimensionMismatch,
-    FaceNotPresent,
-    InvalidParameters,
-    NotPure,
-    OverlappingVertexSets,
-    RidgeInThreeFacets,
-)
+from .errors import InvalidParameters
 from .gf2 import gf2_pivots
 
 Face = tuple[int, ...]
@@ -256,7 +249,7 @@ class Complex:
         fs = frozenset(face)
         new_facets = [tuple(v for v in f if v not in fs) for f in self.facets if fs.issubset(f)]
         if not new_facets:
-            raise FaceNotPresent(f"face {face} not in complex")
+            raise InvalidParameters(f"face {face} not in complex")
         return Complex._derived(new_facets, self.ambient_n)
 
     def star(self, face: Iterable[int]) -> "Complex":
@@ -265,14 +258,14 @@ class Complex:
         fs = frozenset(face)
         kept = [f for f in self.facets if fs.issubset(f)]
         if not kept:
-            raise FaceNotPresent(f"face {face} not in complex")
+            raise InvalidParameters(f"face {face} not in complex")
         return Complex._derived(kept, self.ambient_n)
 
     def join(self, other: "Complex") -> "Complex":
         """Pairwise unions of facets; vertex sets must be disjoint."""
         mine = set(self.vertices())
         if mine & set(other.vertices()):
-            raise OverlappingVertexSets(
+            raise InvalidParameters(
                 f"join requires disjoint vertex sets, shared: {sorted(mine & set(other.vertices()))}"
             )
         ambient = max(self.ambient_n, other.ambient_n)
@@ -300,9 +293,9 @@ class Complex:
         if other.is_void:
             return self
         if not self.is_pure or not other.is_pure:
-            raise NotPure("difference requires pure complexes")
+            raise InvalidParameters("difference requires pure complexes")
         if self.dim != other.dim:
-            raise DimensionMismatch(
+            raise InvalidParameters(
                 f"difference requires equal dimensions, got {self.dim} and {other.dim}"
             )
         return Complex._derived(self.facets - other.facets, self.ambient_n)
@@ -310,13 +303,13 @@ class Complex:
     def boundary(self) -> "Complex":
         """Complex generated by the ridges lying in exactly one facet."""
         if not self.is_pure:
-            raise NotPure("boundary requires a pure complex")
+            raise InvalidParameters("boundary requires a pure complex")
         if self.is_void:
             return self
         by_ridge = self._ridge_map()
         bad = [r for r, fs in by_ridge.items() if len(fs) > 2]
         if bad:
-            raise RidgeInThreeFacets(f"ridge {bad[0]} lies in {len(by_ridge[bad[0]])} facets")
+            raise InvalidParameters(f"ridge {bad[0]} lies in {len(by_ridge[bad[0]])} facets")
         return Complex._derived([r for r, fs in by_ridge.items() if len(fs) == 1], self.ambient_n)
 
     def antipode(self) -> "Complex":
@@ -419,7 +412,7 @@ def facet_ridge_graph(c: Complex) -> dict[Face, tuple[Face, ...]]:
     Keys and each neighbour tuple follow the canonical facet order.
     """
     if not c.is_pure:
-        raise NotPure("facet-ridge graph requires a pure complex")
+        raise InvalidParameters("facet-ridge graph requires a pure complex")
     adjacency: dict[Face, list[Face]] = {f: [] for f in c.sorted_facets()}
     for group in c._ridge_map().values():
         for a, b in itertools.combinations(group, 2):

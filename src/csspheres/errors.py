@@ -1,7 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one type per decision a caller makes.
 
-Every operation that rejects its input raises one of these instead of a bare
-ValueError, so callers (and the CLI) can map failures to exit codes reliably.
+* `CsspheresError` is the base class; catch it to handle every rejection.
+* `InvalidParameters`: an input or a parameter is rejected. The message
+  names the rule it broke, e.g. "index sets need n >= 10" or "complex has
+  empty boundary".
+* `ParseError`: a file could not be read as a complex; `line` holds the line
+  number when known.
+* `SearchBudgetExceeded`: an isomorphism or automorphism search stopped at
+  its node budget without an answer.
+
+The CLI maps all of them to exit code 2.
 """
 
 from __future__ import annotations
@@ -12,71 +20,7 @@ class CsspheresError(Exception):
 
 
 class InvalidParameters(CsspheresError, ValueError):
-    """Construction parameters outside their admissible range."""
-
-
-class FaceNotPresent(CsspheresError, KeyError):
-    """A face required to be in the complex is missing."""
-
-
-class OverlappingVertexSets(CsspheresError, ValueError):
-    """Join of complexes whose vertex sets intersect."""
-
-
-class DimensionMismatch(CsspheresError, ValueError):
-    """Pure complexes of different dimensions where equality is required."""
-
-
-class NotPure(CsspheresError, ValueError):
-    """Operation defined only for pure complexes."""
-
-
-class RidgeInThreeFacets(CsspheresError, ValueError):
-    """Boundary extraction hit a ridge contained in three or more facets."""
-
-
-class SharedFacets(CsspheresError, ValueError):
-    """A ball and its antipode share a facet where they must not."""
-
-
-class NotSubcomplex(CsspheresError, ValueError):
-    """The ball handed to a sewing step is not a full-dimensional subcomplex."""
-
-
-class NegativeLabel(CsspheresError, ValueError):
-    """Relabeling map applied to a complex with negative vertex labels."""
-
-
-class OddCardinality(CsspheresError, ValueError):
-    """Facet condition check requires an even number of vertices."""
-
-
-class ClosedComplex(CsspheresError, ValueError):
-    """Stackedness asked of a complex with empty boundary."""
-
-
-class FacePresent(CsspheresError, ValueError):
-    """Bistellar flip: the face to insert is already in the complex."""
-
-
-class LinkMismatch(CsspheresError, ValueError):
-    """Bistellar flip: the link of the removed face is not a simplex boundary."""
-
-
-class IndexOutOfRange(CsspheresError, ValueError):
-    """Flip index outside the admissible interval."""
-
-
-class NTooSmall(CsspheresError, ValueError):
-    """Family enumeration requires a larger ambient size."""
-
-
-class InvalidIndexSet(CsspheresError, ValueError):
-    """Index set violates the defining gap condition."""
-
-
-class NotPermutation(CsspheresError, ValueError):
-    """Shelling candidate order is not a permutation of the facets."""
+    """An input or parameter is rejected; the message names the broken rule."""
 
 
 class SearchBudgetExceeded(CsspheresError, RuntimeError):

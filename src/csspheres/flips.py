@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Complex, Face, antipode_face, canon_face
-from .errors import (
-    FaceNotPresent,
-    FacePresent,
-    IndexOutOfRange,
-    InvalidParameters,
-    LinkMismatch,
-    SharedFacets,
-)
+from .errors import InvalidParameters
 from .builders import build_delta
 
 
@@ -29,12 +22,12 @@ def _flip_edit(c: Complex, a: Face, b: Face) -> tuple[set[Face], set[Face]]:
     fa = frozenset(a)
     star = {f for f in c.facets if fa.issubset(f)}
     if not star:
-        raise FaceNotPresent(f"face {a} not in complex")
+        raise InvalidParameters(f"face {a} not in complex")
     if c.has_face(b):
-        raise FacePresent(f"face {b} already in complex")
+        raise InvalidParameters(f"face {b} already in complex")
     expected = {tuple(v for v in b if v != drop) for drop in b}
     if {tuple(v for v in f if v not in fa) for f in star} != expected:
-        raise LinkMismatch(f"link of {a} is not the boundary of the simplex on {b}")
+        raise InvalidParameters(f"link of {a} is not the boundary of the simplex on {b}")
     replacement = {canon_face(tuple(v for v in a if v != drop) + b) for drop in a}
     return star, replacement
 
@@ -82,7 +75,7 @@ def build_gamma(k: int, n: int, indices: Iterable[int]) -> Complex:
     lo, hi = 3, n - 4 * k + 3
     bad = [i for i in indices if not lo <= i <= hi]
     if bad:
-        raise IndexOutOfRange(f"flip indices {bad} outside [{lo}, {hi}] for k={k}, n={n}")
+        raise InvalidParameters(f"flip indices {bad} outside [{lo}, {hi}] for k={k}, n={n}")
     delta = build_delta(2 * k - 1, n)
     removed: set[Face] = set()
     added: set[Face] = set()
@@ -91,7 +84,7 @@ def build_gamma(k: int, n: int, indices: Iterable[int]) -> Complex:
         for face_a, face_b in ((pair.f, pair.g), (antipode_face(pair.f), antipode_face(pair.g))):
             star, replacement = _flip_edit(delta, face_a, face_b)
             if star & removed:
-                raise SharedFacets(f"star of {face_a} overlaps an earlier flip")
+                raise InvalidParameters(f"star of {face_a} overlaps an earlier flip")
             removed |= star
             added |= replacement
     return Complex._derived((delta.facets - removed) | added, n)

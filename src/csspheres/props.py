@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Complex, Face, antipode_face, canon_face, face_key
-from .errors import ClosedComplex, InvalidParameters, NotPure, OddCardinality
+from .errors import InvalidParameters
 
 
 def is_cs(c: Complex) -> bool:
@@ -57,13 +57,22 @@ def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> Neighb
     i-subsets of ±ground are looked up, in canonical order, in the memoised
     i-faces of `c`; the first one missing is the witness and max_i = i - 1.
     When none is missing at any size, max_i = |ground| and `exact` is False.
+    Level 1 walks an increasing range lazily and stops at the first label
+    with no vertex, so the ground is materialised only once every label has
+    both its vertices, that is when it has at most |vertices|/2 labels.
     """
     if ground is None:
         ground = range(1, c.ambient_n + 1)
-    ground = tuple(sorted(set(ground)))
-    if any(g <= 0 for g in ground):
+    if not (isinstance(ground, range) and ground.step > 0):
+        ground = sorted(set(ground))
+    if ground and ground[0] <= 0:
         raise InvalidParameters("ground must consist of positive labels")
-    for i in range(1, len(ground) + 1):
+    vertices = c.faces_of_card(1)
+    witness = next(((v,) for g in ground for v in (g, -g) if (v,) not in vertices), None)
+    if witness is not None:
+        return NeighborlinessReport(max_i=0, exact=True, witness=witness)
+    ground = tuple(ground)
+    for i in range(2, len(ground) + 1):
         have = c.faces_of_card(i)
         witness = next((s for s in _antipode_free_subsets(ground, i) if s not in have), None)
         if witness is not None:
@@ -82,19 +91,19 @@ class StackednessReport:
 def stackedness(b: Complex) -> StackednessReport:
     """Compare skeleta of a ball and its boundary: min_i = d - (least interior dim)."""
     if not b.is_pure:
-        raise NotPure("stackedness requires a pure complex")
+        raise InvalidParameters("stackedness requires a pure complex")
     if b.is_void or b.dim < 0:
         raise InvalidParameters("stackedness requires a nonempty complex")
     rim = b.boundary()
     if rim.is_void:
-        raise ClosedComplex("complex has empty boundary")
+        raise InvalidParameters("complex has empty boundary")
     d = b.dim
     for card in range(1, d + 2):
         interior = b.faces_of_card(card) - rim.faces_of_card(card)
         if interior:
             witness = min(interior, key=face_key)
             return StackednessReport(min_i=d - (card - 1), witness_interior_face=witness)
-    raise ClosedComplex("no interior face found; boundary equals the complex")
+    raise InvalidParameters("no interior face found; boundary equals the complex")
 
 
 def facet_necessary_check(face: Iterable[int]) -> bool:
@@ -105,9 +114,9 @@ def facet_necessary_check(face: Iterable[int]) -> bool:
     """
     face = canon_face(face)
     if not face:
-        raise OddCardinality("facet condition check requires a nonempty face")
+        raise InvalidParameters("facet condition check requires a nonempty face")
     if len(face) % 2:
-        raise OddCardinality(f"face {face} has odd cardinality {len(face)}")
+        raise InvalidParameters(f"face {face} has odd cardinality {len(face)}")
     p = sorted(abs(v) for v in face)
     if len(set(p)) != len(p):
         raise InvalidParameters(f"face {face} repeats an absolute label")

@@ -17,7 +17,7 @@ from typing import Hashable, Iterable, Mapping
 
 from .builders import build_delta, sew
 from .core import Complex, Face, canon_face, face_key
-from .errors import InvalidIndexSet, InvalidParameters, NTooSmall
+from .errors import InvalidParameters
 
 MIN_N = 10
 
@@ -32,20 +32,20 @@ class IndexSet:
 
     def __post_init__(self):
         if self.n < MIN_N:
-            raise NTooSmall(f"index sets need n >= {MIN_N}, got {self.n}")
+            raise InvalidParameters(f"index sets need n >= {MIN_N}, got {self.n}")
         idx = self.indices
         if tuple(sorted(set(idx))) != idx:
-            raise InvalidIndexSet(f"indices must be strictly sorted, got {idx}")
+            raise InvalidParameters(f"indices must be strictly sorted, got {idx}")
         if any(i < 3 or i > self.n - 6 for i in idx):
-            raise InvalidIndexSet(f"indices {idx} outside [3, {self.n - 6}]")
+            raise InvalidParameters(f"indices {idx} outside [3, {self.n - 6}]")
         if len(idx) >= 2 and idx[1] - idx[0] <= 1:
-            raise InvalidIndexSet(f"first gap must exceed 1, got {idx[:2]}")
+            raise InvalidParameters(f"first gap must exceed 1, got {idx[:2]}")
 
 
 def enum_I(n: int) -> list[IndexSet]:
     """All admissible index sets for the given n, in lexicographic order."""
     if n < MIN_N:
-        raise NTooSmall(f"enum_I requires n >= {MIN_N}, got {n}")
+        raise InvalidParameters(f"enum_I requires n >= {MIN_N}, got {n}")
     pool = range(3, n - 5)
     out = []
     for size in range(0, len(pool) + 1):
@@ -177,11 +177,15 @@ def _ahu_code(adj: dict, root, parent) -> str:
 def _center(adj: dict) -> list:
     """The one or two middle vertices of a tree, by iterative leaf stripping.
 
-    This is the one tree check: raises InvalidParameters unless the degree
-    sum is 2(|V| - 1) and stripping leaves reaches the last two vertices.
-    With |V| - 1 edges, a graph that is not a tree has a cycle, which is
-    never stripped.
+    This is the one tree check: raises InvalidParameters unless `adj` is a
+    simple symmetric graph (no loop, no repeated neighbour, every neighbour a
+    node that lists it back), the degree sum is 2(|V| - 1) and stripping
+    leaves reaches the last two vertices.  With |V| - 1 edges, a graph that
+    is not a tree has a cycle, which is never stripped.
     """
+    for v, nb in adj.items():
+        if v in nb or len(set(nb)) != len(nb) or any(v not in adj.get(u, ()) for u in nb):
+            raise InvalidParameters(f"not a tree: node {v!r} has a loop, a repeated or a one-sided edge")
     degrees = {v: len(nb) for v, nb in adj.items()}
     if sum(degrees.values()) != 2 * (len(adj) - 1):
         raise InvalidParameters(f"not a tree: {len(adj)} nodes need {len(adj) - 1} edges")

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .builders import build_B
 from .core import Complex, Face, antipode_face, canon_face, facet_ridge_graph
-from .errors import InvalidParameters, NotPermutation, NotPure
+from .errors import InvalidParameters
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,10 @@ class ShellingOrder:
 def is_shelling(c: Complex, order: Sequence[Iterable[int]]) -> ShellingOrder:
     """Verify a candidate facet order; compute restriction faces on success."""
     if not c.is_pure:
-        raise NotPure("shellings are defined for pure complexes")
+        raise InvalidParameters("shellings are defined for pure complexes")
     facets = tuple(canon_face(f) for f in order)
     if len(facets) != len(set(facets)) or set(facets) != c.facets:
-        raise NotPermutation("order is not a permutation of the facet set")
+        raise InvalidParameters("order is not a permutation of the facet set")
     covered: set[Face] = set()
     restrictions: list[Face] = []
     for pos, f in enumerate(facets):

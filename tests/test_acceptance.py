@@ -37,7 +37,7 @@ from csspheres.core import (
     suspension,
     topology_report,
 )
-from csspheres.errors import IndexOutOfRange
+from csspheres.errors import InvalidParameters
 from csspheres.flips import build_gamma, fg_pair
 from csspheres.iso import automorphisms, isomorphic
 from csspheres.props import (
@@ -213,6 +213,23 @@ def test_criterion_05_lambda_suite():
     _report(5, "edge-link spheres: cs, cs-k-neighborly, iso/non-iso vs delta, special edges", t0)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_criterion_05_lambda_threshold_beyond_k2(k):
+    """For k > 2 the edge-link sphere is a second cs-k-neighborly (2k-1)-sphere.
+
+    It is isomorphic to Δ(2k-1, n) up to n = 2k+2 and first differs at
+    n = 2k+3, the threshold criterion 5 asserts at k = 2 (n = 7).
+    """
+    t0 = time.time()
+    for n in (2 * k + 1, 2 * k + 2, 2 * k + 3):
+        lam = build_lambda(2 * k - 1, n)
+        assert is_cs(lam), n
+        assert cs_neighborliness(lam, range(3, n + 3)).max_i >= k, n
+        same = isomorphic(lam, build_delta(2 * k - 1, n)) is not None
+        assert same == (n < 2 * k + 3), n
+    _report(5, f"edge-link spheres at k={k}: cs-{k}-neighborly, non-iso to delta first at n={2 * k + 3}", t0)
+
+
 def test_criterion_06_squeezed_embedding():
     t0 = time.time()
     for k, n_hi in [(1, 8), (2, 7), (3, 6)]:
@@ -251,7 +268,7 @@ def test_criterion_07_gamma_family_as_stated():
     for j in subsets:
         try:
             gammas[j] = build_gamma(3, 13, j)
-        except IndexOutOfRange as exc:
+        except InvalidParameters as exc:
             failures.append((j, str(exc)))
     delta = build_delta(5, 13)
     for j, gamma in gammas.items():

@@ -403,6 +403,30 @@ def test_cli_ignores_iso_budget_environment(tmp_path, monkeypatch, capsys):
     assert main(["aut", str(path), "--expect", "2"]) == 0
 
 
+# Two vertices in an ambient space of 10^8 labels: every check must stay bounded by the facets.
+HUGE_AMBIENT = "# dim=0 n=100000000\n1\n-1\n"
+
+
+@pytest.mark.parametrize(
+    "check, code, line",
+    [
+        (["--neighborly", "1"], 1, "FAIL {} cs-1-neighborly (max_i=0)"),
+        (["--exactly-neighborly", "0"], 0, "PASS {} exactly cs-0-neighborly (max_i=0)"),
+    ],
+)
+def test_verify_neighborly_on_a_huge_ground_allocates_little(tmp_path, capsys, check, code, line):
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_AMBIENT)
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(path), *check]) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    assert capsys.readouterr().out == line.format(path) + "\n"
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """(valid complex files, malformed files and a missing path, a directory)."""
@@ -413,6 +437,7 @@ def fuzz_files(tmp_path_factory):
         "ball316.json": dumps(ComplexFile(build_B(3, 1, 6)), "json"),
         "squeezed24.json": dumps(ComplexFile(squeezed_ball(2, 4)), "json"),
         "lambda14w.txt": dumps(ComplexFile(build_lambda(1, 4), space="W"), "text"),
+        "huge-n.txt": HUGE_AMBIENT,
     }
     malformed = {
         "facets-int.json": '{"facets": 5}',

@@ -9,7 +9,7 @@ import pytest
 
 from csspheres.builders import build_delta
 from csspheres.core import canon_face, facet_ridge_graph, topology_report
-from csspheres.errors import InvalidIndexSet, InvalidParameters, NTooSmall
+from csspheres.errors import InvalidParameters
 from csspheres.props import cs_neighborliness, edge_link_census, is_cs, stackedness
 from csspheres.sew3 import (
     IndexSet,
@@ -26,19 +26,19 @@ def test_enum_I_small():
     assert [s.indices for s in enum_I(10)] == [(), (3,), (4,)]
     assert len(enum_I(12)) == 9
     assert len(enum_I(13)) >= 2 ** (13 - 9)
-    with pytest.raises(NTooSmall):
+    with pytest.raises(InvalidParameters, match="enum_I requires n >= 10"):
         enum_I(9)
 
 
 def test_index_set_validation():
     IndexSet(12, (3, 5, 6))  # only the first gap is constrained
-    with pytest.raises(InvalidIndexSet):
+    with pytest.raises(InvalidParameters, match="first gap must exceed 1"):
         IndexSet(12, (3, 4))
-    with pytest.raises(InvalidIndexSet):
+    with pytest.raises(InvalidParameters, match=r"outside \[3, 6\]"):
         IndexSet(12, (2,))
-    with pytest.raises(InvalidIndexSet):
+    with pytest.raises(InvalidParameters, match=r"outside \[3, 6\]"):
         IndexSet(12, (7,))
-    with pytest.raises(InvalidIndexSet):
+    with pytest.raises(InvalidParameters, match="strictly sorted"):
         IndexSet(12, (5, 3))
 
 
@@ -168,8 +168,11 @@ def test_tree_isomorphic_basics():
         {1: [2, 3], 2: [1, 3], 3: [1, 2]},
         {1: [2], 2: [1], 3: [4], 4: [3]},
         {1: [2, 3], 2: [1, 3], 3: [1, 2], 4: []},
+        {1: [2, 2], 2: [1, 1], 3: []},
+        {1: [1, 2], 2: [1], 3: [3, 4], 4: [3]},
+        {1: [2], 2: [1, 3], 3: [2, 4], 4: [1]},
     ],
-    ids=["cycle3", "two_edges", "triangle_and_point"],
+    ids=["cycle3", "two_edges", "triangle_and_point", "doubled_edge", "two_loops", "one_sided"],
 )
 def test_non_trees_are_refused(graph):
     path = {v: [w for w in (v - 1, v + 1) if w in graph] for v in graph}
