@@ -25,11 +25,16 @@ from .core import Complex, antipode_face, cone, from_walk
 from .errors import InvalidParameters
 
 
+# Largest cross-polytope built: 2^20 facets.  Larger ones are refused before
+# anything is allocated.
+MAX_CROSS_N = 20
+
+
 @functools.cache
 def cross_polytope(n: int) -> Complex:
     """Boundary of the n-dimensional cross-polytope: one sign choice per pair."""
-    if n < 1:
-        raise InvalidParameters(f"cross_polytope needs n >= 1, got {n}")
+    if not 1 <= n <= MAX_CROSS_N:
+        raise InvalidParameters(f"cross_polytope needs 1 <= n <= {MAX_CROSS_N}, got {n}")
     facets: list[tuple[int, ...]] = [()]
     for i in range(1, n + 1):
         facets = [f + (s * i,) for f in facets for s in (1, -1)]
@@ -92,16 +97,13 @@ def sew(gamma: Complex, ball: Complex) -> Complex:
 
 
 @functools.cache
-def build_lambda(d: int, n: int, normalize: bool = False) -> Complex:
+def build_lambda(d: int, n: int) -> Complex:
     """The cs d-sphere arising as the link of the edge {1,2} in Delta(d+2, n+2).
 
-    Lives on W_n = {±3, ..., ±(n+2)} by default; with ``normalize=True`` the
-    labels are shifted down by two onto V_n.
+    Lives on W_n = {±3, ..., ±(n+2)}.
     """
     if d < 1 or n < d + 1:
         raise InvalidParameters(f"build_lambda requires d >= 1 and n >= d+1, got d={d}, n={n}")
-    if normalize:
-        return build_lambda(d, n).relabel(lambda v: v - 2 if v > 0 else v + 2, n)
     return build_delta(d + 2, n + 2).link((1, 2))
 
 

@@ -87,8 +87,7 @@ _BUILDS = {
     "cross": ((), lambda a: ComplexFile(builders.cross_polytope(a.n))),
     "delta": (("d",), lambda a: ComplexFile(builders.build_delta(a.d, a.n))),
     "ball": (("d", "i"), lambda a: ComplexFile(builders.build_B(a.d, a.i, a.n))),
-    "lambda": (("d",), lambda a: ComplexFile(builders.build_lambda(a.d, a.n, normalize=a.normalize),
-                                             space="V" if a.normalize else "W")),
+    "lambda": (("d",), lambda a: ComplexFile(builders.build_lambda(a.d, a.n), space="W")),
     "squeezed": (("k",), lambda a: ComplexFile(builders.squeezed_ball(a.k, a.n))),
     "delta-i": ((), _build_delta_i),
     "lambda-squeezed": (("k",), _build_lambda_squeezed),
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i-set", help="comma list of sewing indices, e.g. 3,5")
     p.add_argument("--tree-out", help="also write the facet tree as an edge list (delta-i)")
     p.add_argument("--ball", help="squeezed-ball file for lambda-squeezed")
-    p.add_argument("--normalize", action="store_true", help="shift W labels onto V labels")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "text"])
     p.set_defaults(func=cmd_build)

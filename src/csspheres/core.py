@@ -74,7 +74,7 @@ class Complex:
     """A simplicial complex stored as the antichain of its facets.
 
     Lower faces are materialized on demand; membership of an arbitrary face is
-    decided by containment in some facet via a per-vertex facet index.
+    decided by a scan for a facet that contains it.
     """
 
     __slots__ = ("ambient_n", "facets", "_cache")
@@ -151,35 +151,10 @@ class Complex:
             "vertices", lambda c: tuple(sorted({v for f in c.facets for v in f}, key=vertex_key))
         )
 
-    def _vertex_index(self) -> dict[int, tuple[frozenset[int], ...]]:
-        def build(c: Complex) -> dict[int, tuple[frozenset[int], ...]]:
-            index: dict[int, list[frozenset[int]]] = {}
-            for f in c.facets:
-                fs = frozenset(f)
-                for v in f:
-                    index.setdefault(v, []).append(fs)
-            return {v: tuple(fl) for v, fl in index.items()}
-
-        return self.memo("vindex", build)
-
     def has_face(self, face: Iterable[int]) -> bool:
-        """True iff the given vertex set is contained in some facet."""
-        face = canon_face(face)
-        if not face:
-            return not self.is_void
-        index = self._vertex_index()
-        candidates = None
-        for v in face:
-            lists = index.get(v)
-            if lists is None:
-                return False
-            if candidates is None or len(lists) < len(candidates):
-                candidates = lists
-        fs = frozenset(face)
-        return any(fs <= c for c in candidates)
-
-    def __contains__(self, face) -> bool:
-        return self.has_face(face)
+        """True iff the given vertex set is contained in some facet (one scan)."""
+        fs = frozenset(canon_face(face))
+        return any(fs.issubset(f) for f in self.facets)
 
     def faces_of_card(self, card: int) -> frozenset[Face]:
         """All faces with `card` vertices, materialized from the facets."""
@@ -245,12 +220,10 @@ class Complex:
 
     def link(self, face: Iterable[int]) -> "Complex":
         """Faces disjoint from `face` whose union with it is a face."""
-        face = canon_face(face)
-        fs = frozenset(face)
-        new_facets = [tuple(v for v in f if v not in fs) for f in self.facets if fs.issubset(f)]
-        if not new_facets:
-            raise InvalidParameters(f"face {face} not in complex")
-        return Complex._derived(new_facets, self.ambient_n)
+        fs = frozenset(canon_face(face))
+        return Complex._derived(
+            [tuple(v for v in f if v not in fs) for f in self.star(face).facets], self.ambient_n
+        )
 
     def star(self, face: Iterable[int]) -> "Complex":
         """Subcomplex generated by the facets containing `face`."""
@@ -279,14 +252,6 @@ class Complex:
             return self
         small = [f for f in self.facets if len(f) <= k + 1]
         return Complex(list(self.faces_of_card(k + 1)) + small, self.ambient_n)
-
-    def restriction(self, vertices: Iterable[int]) -> "Complex":
-        """Faces contained in the given vertex set, as maximal faces."""
-        allowed = set(vertices)
-        if self.is_void:
-            return self
-        pieces = {tuple(v for v in f if v in allowed) for f in self.facets}
-        return Complex(pieces, self.ambient_n)
 
     def difference(self, other: "Complex") -> "Complex":
         """Complex generated by the facets of self that are not facets of other."""

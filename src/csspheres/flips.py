@@ -17,16 +17,13 @@ from .errors import InvalidParameters
 from .builders import build_delta
 
 
-def _flip_edit(c: Complex, a: Face, b: Face) -> tuple[set[Face], set[Face]]:
+def _flip_edit(c: Complex, a: Face, b: Face) -> tuple[frozenset[Face], set[Face]]:
     """The star of `a` and the facets replacing it, once the flip is validated."""
-    fa = frozenset(a)
-    star = {f for f in c.facets if fa.issubset(f)}
-    if not star:
-        raise InvalidParameters(f"face {a} not in complex")
+    star = c.star(a).facets
     if c.has_face(b):
         raise InvalidParameters(f"face {b} already in complex")
     expected = {tuple(v for v in b if v != drop) for drop in b}
-    if {tuple(v for v in f if v not in fa) for f in star} != expected:
+    if {tuple(v for v in f if v not in a) for f in star} != expected:
         raise InvalidParameters(f"link of {a} is not the boundary of the simplex on {b}")
     replacement = {canon_face(tuple(v for v in a if v != drop) + b) for drop in a}
     return star, replacement

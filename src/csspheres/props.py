@@ -228,5 +228,6 @@ def census_at_least(census: dict[Face, int], threshold: int) -> list[Face]:
 
 
 def is_subcomplex(a: Complex, b: Complex) -> bool:
-    """True iff every facet of `a` is a face of `b`."""
-    return all(b.has_face(f) for f in a.facets)
+    """True iff every facet of `a` is a face of `b`, looked up in b's memoised
+    level of faces of its size."""
+    return all(f in b.faces_of_card(len(f)) for f in a.facets)

@@ -167,15 +167,9 @@ def _adjacency(nodes: Iterable[Hashable], edges: Iterable[tuple]) -> dict[Hashab
     return adjacency
 
 
-def _ahu_code(adj: dict, root, parent) -> str:
-    children = sorted(
-        (_ahu_code(adj, c, root) for c in adj[root] if c != parent)
-    )
-    return "(" + "".join(children) + ")"
-
-
-def _center(adj: dict) -> list:
-    """The one or two middle vertices of a tree, by iterative leaf stripping.
+def _center(adj: dict) -> tuple[list, list]:
+    """The stripped vertices in stripping order and the one or two middle
+    vertices of a tree, by iterative leaf stripping.
 
     This is the one tree check: raises InvalidParameters unless `adj` is a
     simple symmetric graph (no loop, no repeated neighbour, every neighbour a
@@ -191,13 +185,13 @@ def _center(adj: dict) -> list:
         raise InvalidParameters(f"not a tree: {len(adj)} nodes need {len(adj) - 1} edges")
     layer = [v for v, d in degrees.items() if d <= 1]
     remaining = len(adj)
-    removed = set()
+    removed: dict = {}  # insertion-ordered: the stripping order
     while remaining > 2:
         if not layer:
             raise InvalidParameters("not a tree: the graph has a cycle")
         nxt = []
         for leaf in layer:
-            removed.add(leaf)
+            removed[leaf] = None
             remaining -= 1
             for nb in adj[leaf]:
                 if nb in removed:
@@ -206,7 +200,7 @@ def _center(adj: dict) -> list:
                 if degrees[nb] == 1:
                     nxt.append(nb)
         layer = nxt
-    return [v for v in adj if v not in removed]
+    return list(removed), [v for v in adj if v not in removed]
 
 
 def tree_canonical_code(tree: Mapping) -> str:
@@ -214,12 +208,22 @@ def tree_canonical_code(tree: Mapping) -> str:
 
     `tree` maps every node to an iterable of its neighbours.  The center
     (one or two middle vertices) is preserved by isomorphisms, so equal
-    codes characterize isomorphic trees.
+    codes characterize isomorphic trees.  The rooted (AHU) codes are built
+    bottom-up in leaf-stripping order, so no recursion bounds the depth: the
+    children of a stripped vertex are its neighbours stripped before it.
     """
     if len(tree) == 0:
         return ""
     adj = {v: sorted(tree[v]) for v in tree}
-    return min(_ahu_code(adj, c, None) for c in _center(adj))
+    stripped, centers = _center(adj)
+    code: dict = {}
+
+    def encode(v, extra=()) -> str:
+        return "(" + "".join(sorted([*(code[u] for u in adj[v] if u in code), *extra])) + ")"
+
+    for v in stripped:
+        code[v] = encode(v)
+    return min(encode(c, [encode(o) for o in centers if o != c]) for c in centers)
 
 
 def tree_isomorphic(t1: FacetTree | Mapping, t2: FacetTree | Mapping) -> bool:

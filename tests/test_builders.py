@@ -32,6 +32,8 @@ def test_cross_polytope():
     assert cross_polytope(4) == build_delta(3, 4)
     with pytest.raises(InvalidParameters):
         cross_polytope(0)
+    with pytest.raises(InvalidParameters, match="n <= 20"):
+        cross_polytope(builders.MAX_CROSS_N + 1)
 
 
 def test_delta_one_is_the_doubled_cycle():
@@ -184,7 +186,7 @@ def test_lambda_basics():
     assert lam14.has_face((3, 5)) and lam14.has_face((4, 6))
     for n in (4, 6, 8):
         assert len(build_lambda(1, n).vertices()) == 2 * n
-    norm = build_lambda(1, 4, normalize=True)
+    norm = lam14.relabel(lambda v: v - 2 if v > 0 else v + 2, 4)  # W_4 shifted onto V_4
     assert norm.ambient_n == 4 and set(norm.vertices()) == {v for v in range(-4, 5) if v}
     assert is_cs(build_lambda(3, 6))
 

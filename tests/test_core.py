@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csspheres import core
@@ -29,6 +29,7 @@ from csspheres.core import (
 from csspheres.errors import InvalidParameters
 from csspheres.flips import build_gamma
 from csspheres.gf2 import gf2_pivots
+from csspheres.props import is_subcomplex
 from csspheres.sew3 import build_delta_I, enum_I
 
 from oracles import closure, connected, f_vector, gf2_rank, h_vector, maximal_faces, pack_rows, z2_betti
@@ -138,7 +139,7 @@ def test_has_face():
     assert not c3.has_face((1, -1))
     d36 = build_delta(3, 6)
     assert d36.has_face((1, 3, 5))  # inside the facet {1,2,3,5}
-    assert ((1, 3, 5) in d36) and ((1, -1) not in d36)
+    assert not d36.has_face((1, -1))
     assert Complex([], 3).has_face(()) is False
     assert Complex([[]], 3).has_face(()) is True
 
@@ -149,7 +150,7 @@ def test_link():
     c = build_delta(2, 5)
     assert c.link(()) == c
     lk1 = cross_polytope(3).link((1,))
-    assert lk1.facets == cross_polytope(3).restriction([2, -2, 3, -3]).facets
+    assert lk1 == from_walk([2, 3, -2, -3, 2], 3)
     report = topology_report(lk1)
     assert report.closed_pseudomanifold and report.euler == 0  # a 4-cycle
     with pytest.raises(InvalidParameters, match="not in complex"):
@@ -164,7 +165,7 @@ def test_link_and_star_of_an_absent_face_raise_without_the_vertex_index():
                 op(face)
     assert c.link((1, 2)).facets and c.star((1, 2)).facets
     assert c.link((1, 2, 3, -4)).facets == {()}  # (1, 2, 3, -4) is a facet
-    assert "vindex" not in c._cache
+    assert not c._cache
     for void in (Complex([], 3), Complex([], 0)):
         for face in [(), (1,)]:
             with pytest.raises(InvalidParameters, match="not in complex"):
@@ -224,15 +225,6 @@ def test_skeleton():
     assert mixed.skeleton(1).facets == {(1, 2), (1, 3), (2, 3), (4,)}
     with pytest.raises(InvalidParameters):
         c3.skeleton(-2)
-
-
-def test_restriction():
-    c2 = cross_polytope(2)
-    assert c2.restriction([1, 2]).facets == {(1, 2)}
-    assert c2.restriction([]).facets == {()}
-    d510 = build_delta(5, 10)
-    positives = d510.restriction(range(1, 11))
-    assert (1, 2, 3, 5, 7, 9) in positives.facets
 
 
 def test_difference():
@@ -462,6 +454,24 @@ def test_face_walk_matches_oracle_on_random_complexes(facets):
 def test_antichain_reduction_matches_brute_force(faces):
     # mixed sizes, repeats and () included: the facets are the maximal faces
     assert {frozenset(f) for f in Complex(faces, 5).facets} == maximal_faces(faces)
+
+
+# labels up to 6 (the complexes stop at 5) and up to 6 of them (facets hold 5)
+query_faces = st.sets(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6]), max_size=6).map(tuple)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_complexes, small_complexes, query_faces)
+@example([], [[]], ())  # void in {∅}
+@example([[]], [], ())  # {∅} in void
+@example([(1, 2, 3), (4,)], [(1, 2, 3, 4, 5)], (1, 2, 3, 4, 5))  # non-pure; face above the dim
+@example([(1, -1)], [(1, 2)], (6,))  # a label the complex lacks
+def test_face_membership_matches_closure_oracle(facets_a, facets_b, face):
+    a, b = Complex(facets_a, 5), Complex(facets_b, 5)
+    assert a.has_face(face) == (sort_face(face) in closure(facets_a))
+    assert not a._cache  # has_face keeps nothing
+    assert is_subcomplex(a, b) == (closure(facets_a) <= closure(facets_b))
+    assert all(isinstance(key, tuple) and key[0] == "card" for key in b._cache), list(b._cache)
 
 
 def _reduces_to_zero(row: int, pivots: dict[int, int]) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import csspheres
 from csspheres.builders import build_B, build_delta, build_lambda, cross_polytope, squeezed_ball
-from csspheres.cli import main
+from csspheres.cli import build_parser, main
 from csspheres.core import Complex
 from csspheres.errors import ParseError
 from csspheres.fileio import (
@@ -363,11 +364,8 @@ def test_cli_deterministic_output(tmp_path):
 def test_cli_verify_w_space_uses_shifted_ground(tmp_path):
     lam = tmp_path / "l38.json"
     main(["build", "lambda", "--d", "3", "--n", "8", "--out", str(lam)])
+    # the W labels would fail against the V ground; the space tag fixes it
     assert main(["verify", str(lam), "--cs", "--neighborly", "2", "--sphere"]) == 0
-    # unnormalized labels would fail against the V ground; the space tag fixes it
-    norm = tmp_path / "l38v.json"
-    main(["build", "lambda", "--d", "3", "--n", "8", "--normalize", "--out", str(norm)])
-    assert main(["verify", str(norm), "--cs", "--neighborly", "2"]) == 0
 
 
 def test_cli_verify_sphere_fails_on_ball(tmp_path, capsys):
@@ -376,6 +374,19 @@ def test_cli_verify_sphere_fails_on_ball(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(p), "--sphere"]) == 1
     assert main(["verify", str(p), "--ball", "--stacked", "1"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["build", "cross", "--n", "40"], ["build", "delta", "--d", "40", "--n", "41"]])
+def test_cli_refuses_a_huge_cross_polytope_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2**20, (code, peak)
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_build_missing_params(tmp_path):
@@ -453,49 +464,69 @@ def fuzz_files(tmp_path_factory):
     return [str(root / name) for name in valid], bad, str(root)
 
 
-def _cli_argv(files):
-    """Argument vectors over every subcommand: small integers, any file, any flag subset.
+# Placeholders in CLI_SPEC for the files of the fuzz_files fixture.
+PATH, OUT = "<path>", "<out>"
+SMALL = st.integers(-2, 8).map(str)
+HALF = st.integers(-2, 3).map(str)  # --k: lambda-squeezed at k=4, n=8 takes seconds
+WORD = st.sampled_from(["3", "3,5", "5,3", "", "x", "-1", "3,x", " "])
+FMT = st.sampled_from(["json", "text", "xml"])
+# subcommand -> (positional arguments, the options its parser requires, the
+# others); a value is a strategy, a placeholder or None for a bare flag.
+CLI_SPEC = {
+    "build": (
+        [st.sampled_from(["cross", "delta", "ball", "lambda", "squeezed", "delta-i", "lambda-squeezed", "x"])],
+        {"--n": SMALL},
+        {"--d": SMALL, "--i": SMALL, "--k": HALF, "--i-set": WORD, "--tree-out": OUT,
+         "--ball": PATH, "--out": OUT, "--format": FMT},
+    ),
+    "verify": ([PATH, PATH], {}, {"--cs": None, "--neighborly": SMALL, "--exactly-neighborly": SMALL,
+                                  "--sphere": None, "--ball": None, "--stacked": SMALL}),
+    "census": ([PATH], {}, {"--at-least": SMALL, "--out": OUT}),
+    "flips": ([], {"--k": HALF, "--n": SMALL}, {"--j": WORD, "--out": OUT, "--format": FMT}),
+    "sew": ([], {"--base": PATH, "--ball": PATH}, {"--out": OUT, "--format": FMT}),
+    "shell": ([st.sampled_from(["delta3", "b42", "x"])], {"--n": SMALL}, {"--out": OUT}),
+    "iso": ([PATH, PATH], {}, {"--budget": SMALL}),
+    "aut": ([PATH], {}, {"--expect": SMALL, "--budget": SMALL}),
+    "export": ([PATH], {"--format": FMT}, {"--out": OUT}),
+    "x": ([], {}, {"--help": None}),  # no such subcommand
+}
 
-    Each subcommand lists its positional arguments, the options its parser
-    requires (always drawn) and the others (any subset); a tail of the
-    vector may be cut off.
+
+def test_cli_spec_flags_match_the_parser():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(CLI_SPEC) - {"x"} == set(commands)
+    for name, parser in commands.items():
+        _, required, optional = CLI_SPEC[name]
+        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert {o for a in options if a.required for o in a.option_strings} == set(required), name
+        assert {o for a in options if not a.required for o in a.option_strings} == set(optional), name
+
+
+def _cli_argv(files):
+    """Argument vectors over every subcommand of CLI_SPEC: small integers, any
+    file, any flag subset.
+
+    The required options are always drawn, the others in any subset; a tail
+    of the vector may be cut off.
     """
-    small = st.integers(-2, 8).map(str)
-    half = st.integers(-2, 3).map(str)  # --k: lambda-squeezed at k=4, n=8 takes seconds
-    word = st.sampled_from(["3", "3,5", "5,3", "", "x", "-1", "3,x", " "])
     valid, bad, root = files
-    path = st.one_of(st.sampled_from(valid), st.sampled_from(bad + [root]))
-    out = st.sampled_from([os.path.join(root, "out"), root])
-    fmt = st.sampled_from(["json", "text", "xml"])
-    spec = {
-        "build": (
-            [st.sampled_from(
-                ["cross", "delta", "ball", "lambda", "squeezed", "delta-i", "lambda-squeezed", "x"])],
-            {"--n": small},
-            {"--d": small, "--i": small, "--k": half, "--i-set": word, "--tree-out": out,
-             "--ball": path, "--normalize": None, "--out": out, "--format": fmt},
-        ),
-        "verify": ([path, path], {}, {"--cs": None, "--neighborly": small, "--exactly-neighborly": small,
-                                      "--sphere": None, "--ball": None, "--stacked": small}),
-        "census": ([path], {}, {"--at-least": small, "--out": out}),
-        "flips": ([], {"--k": half, "--n": small}, {"--j": word, "--out": out, "--format": fmt}),
-        "sew": ([], {"--base": path, "--ball": path}, {"--out": out, "--format": fmt}),
-        "shell": ([st.sampled_from(["delta3", "b42", "x"])], {"--n": small}, {"--out": out}),
-        "iso": ([path, path], {}, {"--budget": small}),
-        "aut": ([path], {}, {"--expect": small, "--budget": small}),
-        "export": ([path], {"--format": fmt}, {"--out": out}),
-        "x": ([], {}, {"--help": None}),
+    placeholders = {
+        PATH: st.one_of(st.sampled_from(valid), st.sampled_from(bad + [root])),
+        OUT: st.sampled_from([os.path.join(root, "out"), root]),
     }
+
+    def strategy(value):
+        return placeholders[value] if isinstance(value, str) else value
 
     @st.composite
     def argv(draw):
-        command = draw(st.sampled_from(sorted(spec)))
-        positional, required, optional = spec[command]
-        args = [command] + [draw(p) for p in positional]
+        command = draw(st.sampled_from(sorted(CLI_SPEC)))
+        positional, required, optional = CLI_SPEC[command]
+        args = [command] + [draw(strategy(p)) for p in positional]
         flags = list(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=4))
         for flag in flags:
             value = required.get(flag, optional.get(flag))
-            args += [flag] if value is None else [flag, draw(value)]
+            args += [flag] if value is None else [flag, draw(strategy(value))]
         if draw(st.integers(0, 3)) == 0:  # missing positionals and option values
             args = args[: draw(st.integers(1, len(args)))]
         return args

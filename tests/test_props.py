@@ -173,7 +173,7 @@ def test_S_members_are_facets_and_positive_facets_match(k, n):
     positive_members = {f for f in fam.members if min(f) > 0}
     assert positive_facets == positive_members
     # the restriction to positive vertices is generated by exactly these
-    restricted = delta.restriction(range(1, n + 1))
+    restricted = Complex({tuple(v for v in f if v > 0) for f in delta.facets}, n)
     top = {f for f in restricted.facets if len(f) == 2 * k}
     assert top == positive_facets
     # the positive restriction may carry lower-dimensional maximal faces (it

@@ -162,6 +162,15 @@ def test_tree_isomorphic_basics():
     assert tree_isomorphic(path4, relabeled)
 
 
+def test_tree_codes_of_a_deep_path_need_no_recursion():
+    n = 2500  # far deeper than the default recursion limit
+    path = {v: [u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)}
+    shuffled = {f"x{v * 7 % n}": [f"x{u * 7 % n}" for u in nb] for v, nb in path.items()}
+    code = tree_canonical_code(path)
+    assert len(code) == 2 * n and code == tree_canonical_code(shuffled)
+    assert tree_isomorphic(path, shuffled)
+
+
 @pytest.mark.parametrize(
     "graph",
     [
