@@ -20,6 +20,7 @@ memoized with ``functools.cache``, which is safe to call from several threads.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .core import Complex, antipode_face, cone, from_walk
 from .errors import InvalidParameters
@@ -123,17 +124,12 @@ def squeezed_facet_family(k: int, n: int) -> list[tuple[int, ...]]:
     """Gale-form facets {i_1, i_1+1, ..., i_k, i_k+1} in [n] with gaps >= 2."""
     if k < 1 or n < k + 1:
         raise InvalidParameters(f"squeezed family requires k >= 1 and n >= k+1, got k={k}, n={n}")
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], start: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for i in range(start, n):
-            extend(prefix + (i, i + 1), i + 2, remaining - 1)
-
-    extend((), 1, k)
-    return out
+    # i_j = c_j + j maps the k-subsets c of [n-k], in order, onto the
+    # starts with gaps >= 2 and i_k <= n-1: C(n-k, k) facets.
+    return [
+        tuple(v for j, c in enumerate(combo) for v in (c + j, c + j + 1))
+        for combo in itertools.combinations(range(1, n - k + 1), k)
+    ]
 
 
 def squeezed_ball(k: int, n: int) -> Complex:

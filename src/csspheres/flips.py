@@ -39,8 +39,6 @@ def bistellar_flip(c: Complex, a: Iterable[int], b: Iterable[int]) -> Complex:
 class FlipPair:
     """The faces F_i = {i, i+3, i+7, ...} (size k) and G_i = {i-1, i+1, i+5, ...} (size k+1)."""
 
-    k: int
-    i: int
     f: Face
     g: Face
 
@@ -51,7 +49,7 @@ def fg_pair(k: int, i: int) -> FlipPair:
         raise InvalidParameters(f"fg_pair requires k >= 2, got {k}")
     f = (i,) + tuple(i + 3 + 4 * j for j in range(k - 1))
     g = (i - 1,) + tuple(i + 1 + 4 * j for j in range(k))
-    return FlipPair(k=k, i=i, f=f, g=g)
+    return FlipPair(f=f, g=g)
 
 
 def build_gamma(k: int, n: int, indices: Iterable[int]) -> Complex:

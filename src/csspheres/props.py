@@ -133,8 +133,6 @@ def facet_necessary_check(face: Iterable[int]) -> bool:
 class SWitnessFamily:
     """The guaranteed-facet families S(2k, n)_m and their union."""
 
-    k: int
-    n: int
     by_m: dict[int, frozenset[Face]]
 
     @property
@@ -157,30 +155,15 @@ def enum_S(k: int, n: int) -> SWitnessFamily:
     by_m: dict[int, frozenset[Face]] = {}
     for m in range(1, k + 1):
         tail = [(n - 2 * (k - i) - 1, n - 2 * (k - i)) for i in range(m + 1, k + 1)]
-        limit = tail[0][0] if tail else n + 1  # next abs value must stay below this
-        patterns: list[list[tuple[int, int]]] = []
-
-        def extend(pairs: list[tuple[int, int]], low: int, remaining: int) -> None:
-            if remaining == 0:
-                if pairs[-1][1] < limit:
-                    patterns.append(pairs)
-                return
-            width = 1 if not pairs else 2
-            for a in range(low, n):
-                if a + width > n:
-                    break
-                extend(pairs + [(a, a + width)], a + width + 1, remaining - 1)
-
-        extend([], 1, m)
         members: set[Face] = set()
-        for pat in patterns:
-            full = pat + tail
+        # The m-subsets c of [n-2k+1] give the head pairs (c_0, c_0+1) and
+        # (c_j+2j-1, c_j+2j+1), which end below the tail: 2^k C(n-2k+1, m) members.
+        for c in itertools.combinations(range(1, n - 2 * k + 2), m):
+            head = [(c[0], c[0] + 1)] + [(c[j] + 2 * j - 1, c[j] + 2 * j + 1) for j in range(1, m)]
             for signs in itertools.product((1, -1), repeat=k):
-                members.add(
-                    canon_face(s * v for s, pair in zip(signs, full) for v in pair)
-                )
+                members.add(canon_face(s * v for s, pair in zip(signs, head + tail) for v in pair))
         by_m[m] = frozenset(members)
-    return SWitnessFamily(k=k, n=n, by_m=by_m)
+    return SWitnessFamily(by_m=by_m)
 
 
 def delta3_facet_formula(n: int) -> frozenset[Face]:

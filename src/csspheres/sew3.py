@@ -60,7 +60,6 @@ def enum_I(n: int) -> list[IndexSet]:
 class FacetTree:
     """Tree on facets of build_delta(3, n); edges are ridge-sharing pairs."""
 
-    source: IndexSet
     nodes: tuple[Face, ...]
     edges: tuple[tuple[Face, Face], ...]
 
@@ -118,7 +117,6 @@ def build_T(index_set: IndexSet) -> FacetTree:
 
     for row, end in zip(rows, row_ends):
         path = _row_nodes(n, row, end - row)
-        assert path[0] in nodes, f"row {row} does not attach to the column"
         for a, b in zip(path, path[1:]):
             edges.append((a, b))
         nodes.extend(p for p in path[1:] if p not in nodes)
@@ -128,24 +126,27 @@ def build_T(index_set: IndexSet) -> FacetTree:
         canon_face((1, -(n - 2), -(n - 1), n)),
         canon_face((1, -(n - 2), -(n - 1), -n)),
     ]
-    assert short[0] in nodes, "short vertical path does not attach to row 0"
     edges.extend(zip(short, short[1:]))
     nodes.extend(p for p in short[1:] if p not in nodes)
 
     for f in nodes:
-        assert f in delta.facets, f"generated node {f} is not a facet"
-    assert len(nodes) == 2 * n - 3, f"expected {2 * n - 3} nodes, got {len(nodes)}"
+        if f not in delta.facets:
+            raise RuntimeError(f"generated node {f} is not a facet")
+    if len(nodes) != 2 * n - 3:
+        raise RuntimeError(f"expected {2 * n - 3} nodes, got {len(nodes)}")
     for a, b in edges:
-        assert len(set(a) & set(b)) == 3, f"tree edge {a}-{b} shares no ridge"
+        if len(set(a) & set(b)) != 3:
+            raise RuntimeError(f"tree edge {a}-{b} shares no ridge")
     adjacency = _adjacency(nodes, edges)
-    assert len(adjacency) == len(nodes), "a tree edge leaves the node set"
+    if len(adjacency) != len(nodes):
+        raise RuntimeError("a tree edge leaves the node set")
     _center(adjacency)  # raises unless the nodes and edges form a tree
 
     order = sorted(nodes, key=face_key)
     canon_edges = tuple(
         sorted((tuple(sorted(e, key=face_key)) for e in edges), key=lambda p: (face_key(p[0]), face_key(p[1])))
     )
-    return FacetTree(source=index_set, nodes=tuple(order), edges=canon_edges)
+    return FacetTree(nodes=tuple(order), edges=canon_edges)
 
 
 def build_B_I(index_set: IndexSet) -> Complex:

@@ -118,5 +118,6 @@ def shelling_B42(n: int) -> tuple[Face, ...]:
     o1 = reversed_order[:block_size]
     o2 = reversed_order[: len(reversed_order) - block_size]
     neg_ball = build_B(3, 1, m).antipode()
-    assert set(o1) == neg_ball.facets, "reversed order does not start on the antipodal ball"
+    if set(o1) != neg_ball.facets:
+        raise RuntimeError("reversed order does not start on the antipodal ball")
     return tuple(canon_face(f + (n,)) for f in o2) + tuple(canon_face(f + (-n,)) for f in o1)

@@ -226,3 +226,36 @@ def pack_rows(matrix) -> list[int]:
                 mask |= 1 << j
         rows.append(mask)
     return rows
+
+
+def gale_family(k: int, n: int) -> list[tuple[int, ...]]:
+    """The 2k-subsets x of [n], in combinations order, that pair up into
+    consecutive labels: x[2j+1] = x[2j] + 1 for every j."""
+    return [
+        x
+        for x in itertools.combinations(range(1, n + 1), 2 * k)
+        if all(x[2 * j + 1] == x[2 * j] + 1 for j in range(k))
+    ]
+
+
+def s_family(k: int, n: int, m: int) -> set[tuple[int, ...]]:
+    """S(2k, n)_m from its definition, by filtering every 2k-subset of [n].
+
+    Pair 0 differs by 1, pairs 1..m-1 differ by 2, and pair j >= m is the
+    fixed tail pair (n - 2(k-j-1) - 1, n - 2(k-j-1)).  Each pair takes a sign
+    of its own; faces are sorted by (abs, sign).
+    """
+    tail = [(n - 2 * (k - j - 1) - 1, n - 2 * (k - j - 1)) for j in range(m, k)]
+    out: set[tuple[int, ...]] = set()
+    for x in itertools.combinations(range(1, n + 1), 2 * k):
+        pairs = [x[2 * j : 2 * j + 2] for j in range(k)]
+        if pairs[0][1] - pairs[0][0] != 1:
+            continue
+        if any(b - a != 2 for a, b in pairs[1:m]):
+            continue
+        if pairs[m:] != tail:
+            continue
+        for signs in itertools.product((1, -1), repeat=k):
+            face = [s * v for s, pair in zip(signs, pairs) for v in pair]
+            out.add(tuple(sorted(face, key=lambda v: (abs(v), v < 0))))
+    return out

@@ -17,12 +17,13 @@ from csspheres.builders import (
     rho_embed,
     sew,
     squeezed_ball,
+    squeezed_facet_family,
 )
 from csspheres.core import Complex, cone, from_walk, simplex, topology_report
 from csspheres.errors import InvalidParameters
 from csspheres.props import is_cs, is_subcomplex
 
-from oracles import sphere_facet_count
+from oracles import gale_family, sphere_facet_count
 
 
 def test_cross_polytope():
@@ -225,6 +226,12 @@ def test_squeezed_ball():
 
     g = nx.Graph(facet_ridge_graph(squeezed_ball(2, 5)))
     assert nx.is_connected(g) and g.number_of_nodes() == 3
+
+
+def test_squeezed_family_is_the_gale_family_in_order():
+    for k in range(1, 5):
+        for n in range(k + 1, 15):
+            assert squeezed_facet_family(k, n) == gale_family(k, n), (k, n)
 
 
 def test_rho_embed():

@@ -30,7 +30,7 @@ from csspheres.props import (
     stackedness,
 )
 
-from oracles import coface_counts, cs_neighborliness as neighborliness_oracle
+from oracles import coface_counts, cs_neighborliness as neighborliness_oracle, s_family
 
 
 def test_is_cs():
@@ -162,6 +162,16 @@ def test_enum_S_examples():
         assert got == 2**k * math.comb(n - 2 * k + 1, k), (k, n)
     with pytest.raises(InvalidParameters):
         enum_S(2, 3)
+
+
+def test_enum_S_matches_its_definition_at_every_m():
+    for k in range(1, 4):
+        for n in range(2 * k, 14):
+            fam = enum_S(k, n)
+            assert sorted(fam.by_m) == list(range(1, k + 1)), (k, n)
+            for m in range(1, k + 1):
+                assert fam.by_m[m] == s_family(k, n, m), (k, n, m)
+                assert len(fam.by_m[m]) == 2**k * math.comb(n - 2 * k + 1, m), (k, n, m)
 
 
 @pytest.mark.parametrize("k,n", [(1, 5), (1, 8), (2, 6), (2, 9), (3, 8), (3, 11)])
