@@ -12,7 +12,6 @@ from .builders import (
     build_delta,
     build_lambda,
     cross_polytope,
-    lambda_squeezed,
     rho_embed,
     sew,
     squeezed_ball,
@@ -85,7 +84,6 @@ __all__ = [
     "is_shelling",
     "is_subcomplex",
     "isomorphic",
-    "lambda_squeezed",
     "rho_embed",
     "sew",
     "shelling_B42",

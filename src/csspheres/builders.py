@@ -144,23 +144,6 @@ def rho_embed(c: Complex) -> Complex:
     return c.relabel(lambda v: 2 * v + 1, 2 * c.ambient_n + 1)
 
 
-def lambda_squeezed(k: int, n: int, ball: Complex) -> Complex:
-    """Sew the image of a squeezed (2k-1)-ball on [n] into the edge-link sphere.
-
-    Replaces ±rho(ball) inside build_lambda(2k-1, 2n-1) by cones over their
-    boundaries from the new vertex pair ±(2n+2); the result is a cs
-    combinatorial (2k-1)-sphere whose link at 2n+2 remembers the ball.
-    """
-    family = set(squeezed_facet_family(k, n))  # also checks k and n
-    if ball.dim != 2 * k - 1:
-        raise InvalidParameters(f"ball must be ({2 * k - 1})-dimensional, got dim {ball.dim}")
-    if not ball.facets <= family:
-        raise InvalidParameters(f"ball facets must be Gale-form (squeezed) facets on [{n}]")
-    lam = build_lambda(2 * k - 1, 2 * n - 1)
-    image = rho_embed(ball).with_ambient(lam.ambient_n)
-    return sew(lam, image)
-
-
 def eq1_expansion(d: int, i: int, n: int) -> Complex:
     """Two-step unrolling of the B(d, i, n) recursion (d >= 3, i <= ⌈d/2⌉ - 1).
 

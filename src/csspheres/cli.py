@@ -77,11 +77,6 @@ def _build_delta_i(args) -> ComplexFile:
     return ComplexFile(sew3.build_delta_I(index_set))
 
 
-def _build_lambda_squeezed(args) -> ComplexFile:
-    ball = read_path(args.ball).complex if args.ball else builders.squeezed_ball(args.k, args.n)
-    return ComplexFile(builders.lambda_squeezed(args.k, args.n, ball), space="W")
-
-
 # build kind -> (options it requires besides --n, builder from the parsed arguments)
 _BUILDS = {
     "cross": ((), lambda a: ComplexFile(builders.cross_polytope(a.n))),
@@ -90,7 +85,6 @@ _BUILDS = {
     "lambda": (("d",), lambda a: ComplexFile(builders.build_lambda(a.d, a.n), space="W")),
     "squeezed": (("k",), lambda a: ComplexFile(builders.squeezed_ball(a.k, a.n))),
     "delta-i": ((), _build_delta_i),
-    "lambda-squeezed": (("k",), _build_lambda_squeezed),
 }
 
 
@@ -265,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="half-dimension for squeezed families")
     p.add_argument("--i-set", help="comma list of sewing indices, e.g. 3,5")
     p.add_argument("--tree-out", help="also write the facet tree as an edge list (delta-i)")
-    p.add_argument("--ball", help="squeezed-ball file for lambda-squeezed")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "text"])
     p.set_defaults(func=cmd_build)

@@ -47,7 +47,9 @@ def _complex_file(facets, ambient, dim, space: str) -> ComplexFile:
         cf = ComplexFile(complex=c, space=space)
     except CsspheresError as exc:
         raise ParseError(str(exc)) from None
-    if dim is not None and not c.is_void and c.dim != dim:
+    if dim is not None and type(dim) is not int:
+        raise ParseError(f"dim must be an integer, got {dim!r}")
+    if dim is not None and c.dim != dim:
         raise ParseError(f"declared dim={dim} but facets have dim {c.dim}")
     return cf
 

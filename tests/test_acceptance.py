@@ -22,7 +22,6 @@ from csspheres.builders import (
     build_delta,
     build_lambda,
     cross_polytope,
-    lambda_squeezed,
     rho_embed,
     sew,
     squeezed_ball,
@@ -484,7 +483,6 @@ def test_criterion_11_oracle_equivalence():
         build_lambda(3, 8),
         build_gamma(2, 10, (3, 5)),
         build_delta_I(IndexSet(10, (3,))),
-        lambda_squeezed(2, 5, squeezed_ball(2, 5)),
         sew(build_delta(3, 6), build_B(3, 1, 6)),
     ]
     for s in spheres:

@@ -13,7 +13,6 @@ from csspheres.builders import (
     build_lambda,
     cross_polytope,
     eq1_expansion,
-    lambda_squeezed,
     rho_embed,
     sew,
     squeezed_ball,
@@ -243,34 +242,6 @@ def test_rho_embed():
         image = rho_embed(squeezed_ball(k, n))
         lam = build_lambda(2 * k - 1, 2 * n - 1)
         assert is_subcomplex(image.with_ambient(lam.ambient_n), lam), (k, n)
-
-
-def test_lambda_squeezed():
-    lamsq = lambda_squeezed(2, 5, squeezed_ball(2, 5))
-    assert is_cs(lamsq)
-    rep = topology_report(lamsq)
-    assert rep.is_sphere() and len(rep.z2_betti) == 4
-    assert lamsq.ambient_n == 12  # vertices ±3..±11 plus ±12
-    # single-facet squeezed ball also sews
-    single = Complex([(1, 2, 3, 4)], 5)
-    lamsq1 = lambda_squeezed(2, 5, single)
-    assert topology_report(lamsq1).is_sphere()
-    # distinct balls leave distinct links at the new vertex
-    assert lamsq.link((12,)) != lamsq1.link((12,))
-    assert lamsq.link((12,)) == rho_embed(squeezed_ball(2, 5)).with_ambient(12).boundary()
-
-
-def test_lambda_squeezed_rejects_bad_balls():
-    with pytest.raises(InvalidParameters, match="Gale"):
-        lambda_squeezed(2, 5, Complex([(1, 2, 3, 5)], 5))  # not Gale form
-    with pytest.raises(InvalidParameters, match=r"Gale-form .* on \[5\]"):
-        lambda_squeezed(2, 5, Complex([(1, 2, 6, 7)], 7))  # Gale form, but not on [5]
-    with pytest.raises(InvalidParameters):
-        lambda_squeezed(2, 5, Complex([(1, 2, 3)], 5))  # wrong dimension
-    with pytest.raises(InvalidParameters):
-        lambda_squeezed(2, 5, Complex([], 5))  # void
-    with pytest.raises(InvalidParameters):
-        lambda_squeezed(0, 5, squeezed_ball(1, 5))  # k < 1
 
 
 def test_concurrent_builds_are_consistent():

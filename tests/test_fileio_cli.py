@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -75,6 +76,14 @@ def test_parse_errors():
         loads_text("# dim=2 n=3 space=Q\n1 2 3\n")
     with pytest.raises(ParseError):
         loads_text("# dim=5 n=3\n1 2 3\n")
+    with pytest.raises(ParseError, match="dim=5"):  # no facet lines: the void complex has dim -2
+        loads_text("# dim=5\n")
+    with pytest.raises(ParseError, match="dim=0"):
+        loads_json('{"dim": 0, "facets": []}')
+    with pytest.raises(ParseError, match="True"):
+        loads_json('{"dim": true, "facets": [[1, 2]]}')
+    with pytest.raises(ParseError, match="1.0"):
+        loads_json('{"dim": 1.0, "facets": [[1, 2]]}')
     with pytest.raises(ParseError):
         loads_json("{not json")
     with pytest.raises(ParseError):
@@ -294,6 +303,20 @@ def test_cli_export_identity(tmp_path):
     assert src.read_text() == back.read_text()
 
 
+def test_readme_cli_block_runs_as_documented(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [chunk.split("```", 1)[0] for chunk in readme.split("```sh\n")[1:]]
+    (block,) = [b for b in blocks if "\ncsspheres " in b]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "csspheres" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = main(argv[1:])
+        err = capsys.readouterr().err
+        assert code == (1 if argv[1] == "iso" else 0), (argv, err)
+
+
 def test_cli_error_exit_codes(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 0 2\n")
@@ -467,22 +490,21 @@ def fuzz_files(tmp_path_factory):
 # Placeholders in CLI_SPEC for the files of the fuzz_files fixture.
 PATH, OUT = "<path>", "<out>"
 SMALL = st.integers(-2, 8).map(str)
-HALF = st.integers(-2, 3).map(str)  # --k: lambda-squeezed at k=4, n=8 takes seconds
 WORD = st.sampled_from(["3", "3,5", "5,3", "", "x", "-1", "3,x", " "])
 FMT = st.sampled_from(["json", "text", "xml"])
 # subcommand -> (positional arguments, the options its parser requires, the
 # others); a value is a strategy, a placeholder or None for a bare flag.
 CLI_SPEC = {
     "build": (
-        [st.sampled_from(["cross", "delta", "ball", "lambda", "squeezed", "delta-i", "lambda-squeezed", "x"])],
+        [st.sampled_from(["cross", "delta", "ball", "lambda", "squeezed", "delta-i", "x"])],
         {"--n": SMALL},
-        {"--d": SMALL, "--i": SMALL, "--k": HALF, "--i-set": WORD, "--tree-out": OUT,
-         "--ball": PATH, "--out": OUT, "--format": FMT},
+        {"--d": SMALL, "--i": SMALL, "--k": SMALL, "--i-set": WORD, "--tree-out": OUT,
+         "--out": OUT, "--format": FMT},
     ),
     "verify": ([PATH, PATH], {}, {"--cs": None, "--neighborly": SMALL, "--exactly-neighborly": SMALL,
                                   "--sphere": None, "--ball": None, "--stacked": SMALL}),
     "census": ([PATH], {}, {"--at-least": SMALL, "--out": OUT}),
-    "flips": ([], {"--k": HALF, "--n": SMALL}, {"--j": WORD, "--out": OUT, "--format": FMT}),
+    "flips": ([], {"--k": SMALL, "--n": SMALL}, {"--j": WORD, "--out": OUT, "--format": FMT}),
     "sew": ([], {"--base": PATH, "--ball": PATH}, {"--out": OUT, "--format": FMT}),
     "shell": ([st.sampled_from(["delta3", "b42", "x"])], {"--n": SMALL}, {"--out": OUT}),
     "iso": ([PATH, PATH], {}, {"--budget": SMALL}),
