@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+from math import comb
 
 from .core import Complex, antipode_face, cone, from_walk
 from .errors import InvalidParameters
 
 
-# Largest cross-polytope built: 2^20 facets.  Larger ones are refused before
-# anything is allocated.
+# Largest cross-polytope built: 2^20 facets.  Larger ones, and squeezed
+# families of more facets, are refused before anything is allocated.
 MAX_CROSS_N = 20
 
 
@@ -126,6 +127,9 @@ def squeezed_facet_family(k: int, n: int) -> list[tuple[int, ...]]:
         raise InvalidParameters(f"squeezed family requires k >= 1 and n >= k+1, got k={k}, n={n}")
     # i_j = c_j + j maps the k-subsets c of [n-k], in order, onto the
     # starts with gaps >= 2 and i_k <= n-1: C(n-k, k) facets.
+    if comb(n - k, k) > 2**MAX_CROSS_N:
+        raise InvalidParameters(
+            f"squeezed family k={k}, n={n} has C({n - k}, {k}) facets, above 2^{MAX_CROSS_N}")
     return [
         tuple(v for j, c in enumerate(combo) for v in (c + j, c + j + 1))
         for combo in itertools.combinations(range(1, n - k + 1), k)

@@ -15,18 +15,25 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from . import builders, flips, iso, props, sew3, shelling
-from .core import fh_vectors, topology_report, vertex_key
 from .errors import CsspheresError, InvalidParameters
-from .fileio import ComplexFile, dumps, read_path, write_path
+
+if TYPE_CHECKING:
+    from .fileio import ComplexFile
+
+# Each command imports the library modules it runs when it runs, so a fresh
+# process loads only those, and calls their functions through the module
+# (``props.is_cs``) so that a rebinding on the module is seen here.
 
 
 def _emit(cf: ComplexFile, args) -> None:
+    from . import fileio
+
     if args.out:
-        write_path(args.out, cf, args.format)
+        fileio.write_path(args.out, cf, args.format)
     else:
-        sys.stdout.write(dumps(cf, args.format or "json"))
+        sys.stdout.write(fileio.dumps(cf, args.format or "json"))
 
 
 def _write(body: str, out: str | None) -> None:
@@ -46,7 +53,9 @@ def _report(checks: list[tuple[bool, str]]) -> int:
 
 
 def _print_map(m: dict[int, int]) -> None:
-    for v in sorted(m, key=vertex_key):
+    from . import core
+
+    for v in sorted(m, key=core.vertex_key):
         print(f"{v}\t{m[v]}")
 
 
@@ -70,35 +79,42 @@ def _indices(text: str | None) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 
-def _build_delta_i(args) -> ComplexFile:
+def _build_delta_i(_builders, args):
+    from . import sew3
+
     index_set = sew3.IndexSet(args.n, _indices(args.i_set))
     if args.tree_out:
         _write(sew3.build_T(index_set).edge_list_text(), args.tree_out)
-    return ComplexFile(sew3.build_delta_I(index_set))
+    return sew3.build_delta_I(index_set)
 
 
-# build kind -> (options it requires besides --n, builder from the parsed arguments)
+# build kind -> (options it requires besides --n, builder from the `builders`
+# module and the parsed arguments, label space of the result)
 _BUILDS = {
-    "cross": ((), lambda a: ComplexFile(builders.cross_polytope(a.n))),
-    "delta": (("d",), lambda a: ComplexFile(builders.build_delta(a.d, a.n))),
-    "ball": (("d", "i"), lambda a: ComplexFile(builders.build_B(a.d, a.i, a.n))),
-    "lambda": (("d",), lambda a: ComplexFile(builders.build_lambda(a.d, a.n), space="W")),
-    "squeezed": (("k",), lambda a: ComplexFile(builders.squeezed_ball(a.k, a.n))),
-    "delta-i": ((), _build_delta_i),
+    "cross": ((), lambda b, a: b.cross_polytope(a.n), "V"),
+    "delta": (("d",), lambda b, a: b.build_delta(a.d, a.n), "V"),
+    "ball": (("d", "i"), lambda b, a: b.build_B(a.d, a.i, a.n), "V"),
+    "lambda": (("d",), lambda b, a: b.build_lambda(a.d, a.n), "W"),
+    "squeezed": (("k",), lambda b, a: b.squeezed_ball(a.k, a.n), "V"),
+    "delta-i": ((), _build_delta_i, "V"),
 }
 
 
 def cmd_build(args) -> int:
-    needs, build = _BUILDS[args.kind]
+    from . import builders, fileio
+
+    needs, build, space = _BUILDS[args.kind]
     missing = [f"--{p}" for p in needs if getattr(args, p) is None]
     if missing:
         raise InvalidParameters(f"build {args.kind} requires {', '.join(missing)}")
-    _emit(build(args), args)
+    _emit(fileio.ComplexFile(build(builders, args), space), args)
     return 0
 
 
 def _verify_one(path: str, args) -> list[tuple[bool, str]]:
-    cf = read_path(path)
+    from . import core, fileio, props
+
+    cf = fileio.read_path(path)
     c = cf.complex
     ground = None
     if cf.space == "W":
@@ -121,10 +137,10 @@ def _verify_one(path: str, args) -> list[tuple[bool, str]]:
                 detail += f" witness={_fmt_face(report.witness)}"
             results.append((ok, f"{path} exactly cs-{args.exactly_neighborly}-neighborly ({detail})"))
     if args.sphere or args.ball:
-        report = topology_report(c)
+        report = core.topology_report(c)
         if args.sphere:
             ok = report.is_sphere()
-            fh = fh_vectors(c)
+            fh = core.fh_vectors(c)
             symmetric = fh.h == fh.h[::-1]
             results.append((ok and symmetric, f"{path} sphere report (betti={report.z2_betti}, h-symmetric={symmetric})"))
         if args.ball:
@@ -142,7 +158,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_census(args) -> int:
-    cf = read_path(args.file)
+    from . import fileio, props
+
+    cf = fileio.read_path(args.file)
     census = props.edge_link_census(cf.complex)
     edges = props.census_at_least(census, args.at_least)
     lines = [f"{e[0]}\t{e[1]}\t{census[e]}" for e in edges]
@@ -151,6 +169,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_flips(args) -> int:
+    from . import builders, fileio, flips, props
+
     indices = _indices(args.j)
     gamma = flips.build_gamma(args.k, args.n, indices)
     delta = builders.build_delta(2 * args.k - 1, args.n)
@@ -165,19 +185,23 @@ def cmd_flips(args) -> int:
         checks.append((gamma.has_face(pair.g), f"G_{i} present"))
     code = _report(checks)
     if args.out:
-        write_path(args.out, ComplexFile(gamma), args.format)
+        fileio.write_path(args.out, fileio.ComplexFile(gamma), args.format)
     return code
 
 
 def cmd_sew(args) -> int:
-    base = read_path(args.base)
-    ball = read_path(args.ball).complex
+    from . import builders, fileio
+
+    base = fileio.read_path(args.base)
+    ball = fileio.read_path(args.ball).complex
     sewn = builders.sew(base.complex, ball)
-    _emit(ComplexFile(sewn, space=base.space), args)
+    _emit(fileio.ComplexFile(sewn, space=base.space), args)
     return 0
 
 
 def cmd_shell(args) -> int:
+    from . import builders, shelling
+
     if args.kind == "delta3":
         c = builders.build_delta(3, args.n)
         order = shelling.symmetric_shelling_delta3(args.n)
@@ -198,8 +222,10 @@ def cmd_shell(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    a = read_path(args.a).complex
-    b = read_path(args.b).complex
+    from . import fileio, iso
+
+    a = fileio.read_path(args.a).complex
+    b = fileio.read_path(args.b).complex
     for name, ok in iso.necessary_conditions(a, b):
         print(("PASS " if ok else "FAIL ") + f"necessary condition: {name}")
         if not ok:
@@ -215,7 +241,9 @@ def cmd_iso(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    c = read_path(args.file).complex
+    from . import fileio, iso
+
+    c = fileio.read_path(args.file).complex
     maps = iso.automorphisms(c, budget=args.budget)
     print(f"automorphisms: {len(maps)}")
     for idx, m in enumerate(maps):
@@ -228,7 +256,9 @@ def cmd_aut(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cf = read_path(args.file)
+    from . import fileio
+
+    cf = fileio.read_path(args.file)
     _emit(cf, args)
     return 0
 

@@ -18,10 +18,9 @@ object and is safe to call concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InvalidParameters
 from .gf2 import gf2_pivots
@@ -346,8 +345,7 @@ def from_walk(vertices: list[int], ambient_n: int) -> Complex:
     return Complex(edges, ambient_n)
 
 
-@dataclass(frozen=True)
-class FHVectors:
+class FHVectors(NamedTuple):
     """Face counts by dimension and the derived h-vector."""
 
     f: tuple[int, ...]  # f_{-1} .. f_d
@@ -386,8 +384,7 @@ def facet_ridge_graph(c: Complex) -> dict[Face, tuple[Face, ...]]:
     return {f: tuple(sorted(nbs, key=face_key)) for f, nbs in adjacency.items()}
 
 
-@dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(NamedTuple):
     """Cheap desk-scale sanity report: pseudomanifold checks plus GF(2) homology."""
 
     pure: bool

@@ -10,7 +10,7 @@ for both formats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Complex, canon_face
 from .errors import CsspheresError, ParseError
@@ -18,16 +18,24 @@ from .errors import CsspheresError, ParseError
 SPACES = ("V", "W")
 
 
-@dataclass(frozen=True)
-class ComplexFile:
-    """A complex plus its label-space tag (V: ±1..±n, W: ±3..±(n+2))."""
-
+class _ComplexFileFields(NamedTuple):
     complex: Complex
     space: str = "V"
 
-    def __post_init__(self):
-        if self.space not in SPACES:
-            raise ParseError(f"unknown label space {self.space!r}")
+
+class ComplexFile(_ComplexFileFields):
+    """A complex plus its label-space tag (V: ±1..±n, W: ±3..±(n+2))."""
+
+    __slots__ = ()
+
+    def __new__(cls, complex: Complex, space: str = "V"):
+        if space not in SPACES:
+            raise ParseError(f"unknown label space {space!r}")
+        return super().__new__(cls, complex, space)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here, so it checks too
+        return cls(*iterable)
 
 
 def dumps_text(cf: ComplexFile) -> str:

@@ -9,8 +9,7 @@ their antipodes) simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import Complex, Face, antipode_face, canon_face
 from .errors import InvalidParameters
@@ -35,8 +34,7 @@ def bistellar_flip(c: Complex, a: Iterable[int], b: Iterable[int]) -> Complex:
     return Complex((c.facets - star) | replacement, c.ambient_n)
 
 
-@dataclass(frozen=True)
-class FlipPair:
+class FlipPair(NamedTuple):
     """The faces F_i = {i, i+3, i+7, ...} (size k) and G_i = {i-1, i+1, i+5, ...} (size k+1)."""
 
     f: Face

@@ -11,8 +11,7 @@ by size, and reports the least antipode-free subset that is not a face.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import Complex, Face, antipode_face, canon_face, face_key
 from .errors import InvalidParameters
@@ -32,8 +31,7 @@ def is_cs(c: Complex) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NeighborlinessReport:
+class NeighborlinessReport(NamedTuple):
     """Largest i such that all antipode-free i-subsets of the ground are faces."""
 
     max_i: int
@@ -80,8 +78,7 @@ def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> Neighb
     return NeighborlinessReport(max_i=len(ground), exact=False, witness=None)
 
 
-@dataclass(frozen=True)
-class StackednessReport:
+class StackednessReport(NamedTuple):
     """Smallest i such that all interior faces have dimension >= d - i."""
 
     min_i: int
@@ -129,8 +126,7 @@ def facet_necessary_check(face: Iterable[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SWitnessFamily:
+class SWitnessFamily(NamedTuple):
     """The guaranteed-facet families S(2k, n)_m and their union."""
 
     by_m: dict[int, frozenset[Face]]

@@ -12,8 +12,7 @@ Delta(I) on V_{n+1}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .builders import build_delta, sew
 from .core import Complex, Face, canon_face, face_key
@@ -22,24 +21,31 @@ from .errors import InvalidParameters
 MIN_N = 10
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Sorted subset of [3, n-6]; when it has two or more elements the first
-    gap must exceed one."""
-
+class _IndexSetFields(NamedTuple):
     n: int
     indices: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < MIN_N:
-            raise InvalidParameters(f"index sets need n >= {MIN_N}, got {self.n}")
-        idx = self.indices
-        if tuple(sorted(set(idx))) != idx:
-            raise InvalidParameters(f"indices must be strictly sorted, got {idx}")
-        if any(i < 3 or i > self.n - 6 for i in idx):
-            raise InvalidParameters(f"indices {idx} outside [3, {self.n - 6}]")
-        if len(idx) >= 2 and idx[1] - idx[0] <= 1:
-            raise InvalidParameters(f"first gap must exceed 1, got {idx[:2]}")
+
+class IndexSet(_IndexSetFields):
+    """Sorted subset of [3, n-6]; when it has two or more elements the first
+    gap must exceed one."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, indices: tuple[int, ...]):
+        if n < MIN_N:
+            raise InvalidParameters(f"index sets need n >= {MIN_N}, got {n}")
+        if tuple(sorted(set(indices))) != indices:
+            raise InvalidParameters(f"indices must be strictly sorted, got {indices}")
+        if any(i < 3 or i > n - 6 for i in indices):
+            raise InvalidParameters(f"indices {indices} outside [3, {n - 6}]")
+        if len(indices) >= 2 and indices[1] - indices[0] <= 1:
+            raise InvalidParameters(f"first gap must exceed 1, got {indices[:2]}")
+        return super().__new__(cls, n, indices)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here, so it checks too
+        return cls(*iterable)
 
 
 def enum_I(n: int) -> list[IndexSet]:
@@ -56,8 +62,7 @@ def enum_I(n: int) -> list[IndexSet]:
     return sorted(out, key=lambda s: s.indices)
 
 
-@dataclass(frozen=True)
-class FacetTree:
+class FacetTree(NamedTuple):
     """Tree on facets of build_delta(3, n); edges are ridge-sharing pairs."""
 
     nodes: tuple[Face, ...]

@@ -10,16 +10,14 @@ and the step is valid iff r itself is still uncovered.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .builders import build_B
 from .core import Complex, Face, antipode_face, canon_face, facet_ridge_graph
 from .errors import InvalidParameters
 
 
-@dataclass(frozen=True)
-class ShellingOrder:
+class ShellingOrder(NamedTuple):
     """A facet order checked by ``is_shelling``, with its restriction faces.
 
     ``failed_at`` is the 0-based index of the first violating position, or

@@ -399,7 +399,11 @@ def test_cli_verify_sphere_fails_on_ball(tmp_path, capsys):
     assert main(["verify", str(p), "--ball", "--stacked", "1"]) == 0
 
 
-@pytest.mark.parametrize("argv", [["build", "cross", "--n", "40"], ["build", "delta", "--d", "40", "--n", "41"]])
+@pytest.mark.parametrize("argv", [
+    ["build", "cross", "--n", "40"],
+    ["build", "delta", "--d", "40", "--n", "41"],
+    ["build", "squeezed", "--k", "30", "--n", "100"],  # C(70, 30) ~ 5.5e19 facets
+])
 def test_cli_refuses_a_huge_cross_polytope_before_allocating(capsys, argv):
     tracemalloc.start()
     try:
