@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import InvalidParameters
 from .gf2 import gf2_pivots
@@ -121,6 +121,10 @@ class Complex:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Complex is immutable")
+
+    def __reduce__(self):
+        """Pickle and copy through `_derived`, so the copy starts with an empty cache."""
+        return (type(self)._derived, (self.facets, self.ambient_n))
 
     # ------------------------------------------------------------------
     # basic queries
@@ -420,17 +424,6 @@ class TopologyReport(NamedTuple):
         )
 
 
-def _boundary_rows(level: dict[Face, int], below: dict[Face, int], skip, card: int) -> Iterator[int]:
-    """Boundary row masks, over the indices in `below`, of the faces in `level`
-    (cardinality `card`) whose positions are not in `skip`, in order."""
-    for i, f in enumerate(level):
-        if i not in skip:
-            mask = 0
-            for sub in itertools.combinations(f, card - 1):
-                mask |= 1 << below[sub]
-            yield mask
-
-
 def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(f-vector, unreduced GF(2) Betti numbers) from one top-down pass.
 
@@ -441,6 +434,8 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     pivot row of the boundary above has, since the boundary of a boundary is
     zero, the boundary of the sum of that row's other, lower-indexed faces,
     so its own row lies in the span of the rows before it and is skipped.
+    Each other row is passed as its support, the indices of the face's facets
+    in the level below, so an apparent pivot is kept without a bitmask.
     """
     if c.is_void:
         return (0,), ()
@@ -460,7 +455,8 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
             break
         subs = itertools.chain.from_iterable(map(itertools.combinations, level, itertools.repeat(card - 1)))
         below = dict(zip(dict.fromkeys(subs), itertools.count()))
-        cleared = set(gf2_pivots(_boundary_rows(level, below, cleared, card)))
+        cleared = set(gf2_pivots(tuple(map(below.__getitem__, itertools.combinations(f, card - 1)))
+                                 for i, f in enumerate(level) if i not in cleared))
         ranks[card] = len(cleared)
         level = below
     return tuple(counts), tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(1, top + 1))

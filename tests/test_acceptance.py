@@ -301,6 +301,19 @@ def test_criterion_07_gamma_family_at_admissible_n():
     _report(7, "gamma family at n=15: 8 spheres, sphere reports, 28 pairs non-isomorphic", t0)
 
 
+def test_criterion_07_gamma_at_k4():
+    """The cs-(k-1)-neighborly family at k = 4: Γ(4, 17, {3}), one flip pair
+    away from Δ(7, 17) at the smallest n whose flip window [3, n-4k+2] holds 3."""
+    t0 = time.time()
+    gamma = build_gamma(4, 17, (3,))
+    assert is_cs(gamma)
+    report = topology_report(gamma)
+    assert report.is_sphere() and report.z2_betti == (1, 0, 0, 0, 0, 0, 0, 1)
+    assert cs_neighborliness(gamma).max_i == 3
+    assert len(build_delta(7, 17).facets) - len(gamma.facets) == 2
+    _report(7, "gamma at k=4: Γ(4,17,{3}) is a cs 7-sphere, exactly cs-3-neighborly, 2 facets below Δ(7,17)", t0)
+
+
 def test_criterion_08_sewing_suite():
     t0 = time.time()
     for n in (10, 12):

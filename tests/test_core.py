@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +30,7 @@ from csspheres.core import (
     z2_betti_numbers,
 )
 from csspheres.errors import InvalidParameters
+from csspheres.fileio import ComplexFile
 from csspheres.flips import build_gamma
 from csspheres.gf2 import gf2_pivots
 from csspheres.props import is_subcomplex
@@ -344,6 +348,19 @@ def test_dehn_sommerville_for_spheres():
         assert h == h[::-1], (d, n)
 
 
+def _support(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _as_mask(row) -> int:
+    """A pivot or a support as a bitmask."""
+    return row if type(row) is int else sum(1 << i for i in row)
+
+
+def _lead(pivot) -> int:
+    return pivot.bit_length() - 1 if type(pivot) is int else max(pivot)
+
+
 def test_gf2_rank_small_cases():
     ident = pack_rows([[1 if i == j else 0 for j in range(5)] for i in range(5)])
     # boundary of a triangle: rank 2 over GF(2)
@@ -356,7 +373,7 @@ def test_gf2_rank_small_cases():
         (triangle, 2),
     ]
     for rows, rank in cases:
-        assert len(gf2_pivots(rows)) == gf2_rank(rows) == rank, rows
+        assert len(gf2_pivots(map(_support, rows))) == gf2_rank(rows) == rank, rows
 
 
 def test_top_h_entry_tracks_euler():
@@ -474,31 +491,38 @@ def test_face_membership_matches_closure_oracle(facets_a, facets_b, face):
     assert all(isinstance(key, tuple) and key[0] == "card" for key in b._cache), list(b._cache)
 
 
-def _reduces_to_zero(row: int, pivots: dict[int, int]) -> bool:
+def _reduces_to_zero(row: int, pivots: dict) -> bool:
     while row and row.bit_length() - 1 in pivots:
-        row ^= pivots[row.bit_length() - 1]
+        row ^= _as_mask(pivots[row.bit_length() - 1])
     return row == 0
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**12 - 1), max_size=20))
-def test_gf2_pivots_are_keyed_by_their_leading_bit(rows):
-    pivots = gf2_pivots(rows)
-    assert all(row.bit_length() - 1 == lead for lead, row in pivots.items())
-    assert len({row.bit_length() - 1 for row in pivots.values()}) == len(pivots)
+def _check_pivots(rows: list[int]) -> None:
+    """gf2_pivots on the supports of the mask rows, against the oracle."""
+    pivots = gf2_pivots(map(_support, rows))
+    assert all(_lead(pivot) == lead for lead, pivot in pivots.items())
+    assert len({_lead(pivot) for pivot in pivots.values()}) == len(pivots)
     assert gf2_rank(rows) == len(pivots)
     # the pivots span every input row, and are independent by their distinct leads
     assert all(_reduces_to_zero(row, pivots) for row in rows)
 
 
-def _boundary_masks(faces: list, order: dict, card: int) -> list[int]:
-    rows = []
-    for f in faces:
-        mask = 0
-        for sub in itertools.combinations(f, card - 1):
-            mask |= 1 << order[sub]
-        rows.append(mask)
-    return rows
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**12 - 1), max_size=20))
+def test_gf2_pivots_are_keyed_by_their_leading_bit(rows):
+    _check_pivots(rows)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**6 - 1), min_size=2, max_size=20))
+def test_gf2_pivots_reduce_rows_that_share_a_lead(lows):
+    # the rows with lead 6 after the first are reduced against masks rebuilt
+    # from the stored supports of the first and of the low rows
+    _check_pivots(lows + [1 << 6 | low for low in lows])
+
+
+def _boundary_supports(faces: list, order: dict, card: int) -> list[tuple[int, ...]]:
+    return [tuple(order[sub] for sub in itertools.combinations(f, card - 1)) for f in faces]
 
 
 @pytest.mark.parametrize(
@@ -516,8 +540,8 @@ def test_clearing_leaves_boundary_ranks_unchanged(facets):
             random.Random(seed).shuffle(level)
         order = [{f: i for i, f in enumerate(level)} for level in by_card]
         for card in range(2, top):
-            above = gf2_pivots(_boundary_masks(by_card[card + 1], order[card], card + 1))
-            rows = _boundary_masks(by_card[card], order[card - 1], card)
+            above = gf2_pivots(_boundary_supports(by_card[card + 1], order[card], card + 1))
+            rows = list(map(_as_mask, _boundary_supports(by_card[card], order[card - 1], card)))
             kept = [row for i, row in enumerate(rows) if i not in above]
             assert gf2_rank(kept) == gf2_rank(rows), (seed, card)
 
@@ -536,3 +560,26 @@ def test_topology_report_then_fh_vectors_walk_the_faces_once(monkeypatch):
     assert not [key for key in c._cache if isinstance(key, tuple) and key[0] == "card"]
     assert fh_vectors(c).f == c.f_counts() == f_vector(c.facets)
     assert report.is_sphere() and walks == [c]
+
+
+def test_topology_report_memory_peak_on_delta_7_12():
+    c = Complex(build_delta(7, 12).facets, 12)  # fresh caches
+    tracemalloc.start()
+    try:
+        report = topology_report(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_sphere()
+    assert peak < 16 * 2**20, peak  # 27.8 MB when every boundary row was a bitmask
+
+
+def test_complex_pickles_and_copies_without_its_memo():
+    c = build_delta(3, 6)
+    topology_report(c)
+    assert c._cache
+    for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+        assert type(twin) is Complex and twin == c and twin.ambient_n == c.ambient_n
+        assert twin._cache == {}
+    record = ComplexFile(c, "W")
+    assert pickle.loads(pickle.dumps(record)) == record

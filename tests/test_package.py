@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -128,3 +129,15 @@ def test_cli_commands_load_only_their_own_modules(tmp_path):
         loaded = _imported(["-m", "csspheres.cli", *argv]) - startup
         assert "csspheres.fileio" in loaded, (argv, sorted(loaded))
         assert loaded & unwanted == set(), (argv, sorted(loaded & unwanted))
+
+
+def test_every_module_the_traced_bench_loads_imports():
+    """perfbench/tracing.py imports each csspheres module its MODULES names."""
+    tracing = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text())
+    (modules,) = [
+        ast.literal_eval(node.value) for node in tracing.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["MODULES"]
+    ]
+    assert "gf2" in modules
+    for name in modules:
+        assert importlib.import_module(f"csspheres.{name}").__name__ == f"csspheres.{name}"
