@@ -147,33 +147,3 @@ def rho_embed(c: Complex) -> Complex:
         raise InvalidParameters("rho_embed requires all labels positive")
     return c.relabel(lambda v: 2 * v + 1, 2 * c.ambient_n + 1)
 
-
-def eq1_expansion(d: int, i: int, n: int) -> Complex:
-    """Two-step unrolling of the B(d, i, n) recursion (d >= 3, i <= ⌈d/2⌉ - 1).
-
-    B(d,i,n) = (B(d-2,i,n-2) * (n-1, n))
-             ∪ ((-B(d-2,i-1,n-2)) * (n, -n+1, -n))
-             ∪ (B(d-2,i-2,n-2) * (n-1, -n)).
-    """
-    if d < 3 or i > (d + 1) // 2 - 1:
-        raise InvalidParameters("expansion defined for d >= 3 and i <= ceil(d/2)-1")
-    parts = [
-        build_B(d - 2, i, n - 2).join(from_walk([n - 1, n], n)),
-        build_B(d - 2, i - 1, n - 2).antipode().join(from_walk([n, -n + 1, -n], n)),
-        build_B(d - 2, i - 2, n - 2).join(from_walk([n - 1, -n], n)),
-    ]
-    facets = set()
-    for p in parts:
-        facets |= p.facets
-    return Complex(facets, n)
-
-
-def b31_paths(n: int) -> tuple[Complex, Complex]:
-    """The two explicit join factors of B(3, 1, n): a long path and an edge path.
-
-    B(3,1,n) = (path(n-2, ..., 1, -(n-2), ..., -1) * (n-1, n))
-             ∪ ((1, -(n-2)) * path(n, -(n-1), -n)).
-    """
-    long_path = from_walk(list(range(n - 2, 0, -1)) + list(range(-n + 2, 0)), n)
-    short_path = from_walk([n, -n + 1, -n], n)
-    return long_path, short_path

@@ -324,13 +324,6 @@ def cone(base: Complex, apex: int) -> Complex:
     return base.join(Complex([(apex,)], ambient))
 
 
-def suspension(base: Complex, poles: tuple[int, int]) -> Complex:
-    """Join of `base` with the two-point complex on `poles`."""
-    a, b = poles
-    ambient = max(base.ambient_n, abs(a), abs(b))
-    return base.join(Complex([(a,), (b,)], ambient))
-
-
 def from_walk(vertices: list[int], ambient_n: int) -> Complex:
     """Path complex through `vertices`; a cycle when the walk closes up.
 

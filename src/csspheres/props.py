@@ -162,38 +162,6 @@ def enum_S(k: int, n: int) -> SWitnessFamily:
     return SWitnessFamily(by_m=by_m)
 
 
-def delta3_facet_formula(n: int) -> frozenset[Face]:
-    """Closed-form facet list of the 3-dimensional sewn sphere on V_n.
-
-    Three families: the 1-stacked ball block and its antipode; the sewing
-    shells for 5 <= s <= n; the six base facets left over at n = 4.
-    """
-    if n < 4:
-        raise InvalidParameters(f"delta3_facet_formula requires n >= 4, got {n}")
-    half: set[Face] = set()
-    # ball block
-    for i in range(1, n - 2):
-        half.add(canon_face((i, i + 1, n - 1, n)))
-        half.add(canon_face((-i, -i - 1, n - 1, n)))
-    half.add(canon_face((1, -n + 2, n - 1, n)))
-    half.add(canon_face((1, -n + 2, -n + 1, n)))
-    half.add(canon_face((1, -n + 2, -n + 1, -n)))
-    # sewing shells
-    for ell in range(3, n - 1):
-        for i in range(1, ell - 1):
-            half.add(canon_face((i, i + 1, ell, ell + 2)))
-            half.add(canon_face((-i, -i - 1, ell, ell + 2)))
-        half.add(canon_face((1, -ell + 1, ell, ell + 2)))
-    for ell in range(2, n - 2):
-        half.add(canon_face((ell, ell + 1, ell + 2, -ell - 3)))
-        half.add(canon_face((-1, ell, ell + 2, -ell - 3)))
-    # base leftovers
-    half.update(
-        (canon_face((1, 2, -3, 4)), canon_face((1, 2, 3, -4)), canon_face((1, -2, 3, -4)))
-    )
-    return frozenset(half | {antipode_face(f) for f in half})
-
-
 def edge_link_census(c: Complex) -> dict[Face, int]:
     """Number of vertices in the link of every edge, as a fresh dict."""
     if c.is_void or c.dim < 2:

@@ -2,7 +2,13 @@
 
 Everything here recomputes from first principles (itertools over facet
 tuples, permutation enumeration, explicit intersection complexes) and never
-calls the code paths it is checking.
+calls the code paths it is checking: nothing is imported from `csspheres`,
+and `test_source.py` checks that.
+
+The paper's closed forms of objects the builders sew live here too, as
+facet sets: Jockusch's facet list of Δ^3_n (`delta3_facets`), the two-step
+unrolling Eq. (1) of B(d, i, n) (`eq1_expansion`), the path joins of
+B(3, 1, n) (`b31_paths`), and the suspension of a complex (`suspension`).
 """
 
 from __future__ import annotations
@@ -11,11 +17,16 @@ import itertools
 from collections import Counter, deque
 
 
+def _face(vertices) -> tuple[int, ...]:
+    """The vertices as a tuple sorted by (abs, sign): 1, -1, 2, -2, ..."""
+    return tuple(sorted(vertices, key=lambda v: (abs(v), v < 0)))
+
+
 def closure(facets) -> set[tuple[int, ...]]:
     """All faces (sorted-by-(abs,sign) tuples) of the given facets, incl. ()."""
     out: set[tuple[int, ...]] = set()
     for f in facets:
-        f = tuple(sorted(f, key=lambda v: (abs(v), v < 0)))
+        f = _face(f)
         for r in range(len(f) + 1):
             out.update(itertools.combinations(f, r))
     return out
@@ -33,7 +44,7 @@ def cs_neighborliness(facets, ground) -> tuple[int, tuple[int, ...] | None]:
         missing = []
         for combo in itertools.combinations(ground, i):
             for signs in itertools.product((1, -1), repeat=i):
-                face = tuple(sorted((s * g for s, g in zip(signs, combo)), key=lambda v: (abs(v), v < 0)))
+                face = _face(s * g for s, g in zip(signs, combo))
                 if face not in faces:
                     missing.append(face)
         if missing:
@@ -158,7 +169,7 @@ def sphere_facet_count(k: int, n: int) -> int:
 
 def is_shelling_by_purity(facets_in_order) -> bool:
     """Shelling check via purity of each intersection with the prior union."""
-    order = [tuple(sorted(f, key=lambda v: (abs(v), v < 0))) for f in facets_in_order]
+    order = [_face(f) for f in facets_in_order]
     if not order:
         return True
     d = len(order[0]) - 1
@@ -257,5 +268,58 @@ def s_family(k: int, n: int, m: int) -> set[tuple[int, ...]]:
             continue
         for signs in itertools.product((1, -1), repeat=k):
             face = [s * v for s, pair in zip(signs, pairs) for v in pair]
-            out.add(tuple(sorted(face, key=lambda v: (abs(v), v < 0))))
+            out.add(_face(face))
     return out
+
+
+def delta3_facets(n: int) -> set[tuple[int, ...]]:
+    """Jockusch's closed-form facet list of the 3-sphere Δ^3_n on V_n, n >= 4.
+
+    Half the facets are listed, in three families, and the other half are
+    their antipodes: the 1-stacked ball block; the sewing shells for
+    5 <= s <= n; the three base facets left over at n = 4.
+    """
+    half = {(1, -n + 2, n - 1, n), (1, -n + 2, -n + 1, n), (1, -n + 2, -n + 1, -n)}  # ball block
+    for i in range(1, n - 2):
+        half |= {(i, i + 1, n - 1, n), (-i, -i - 1, n - 1, n)}
+    for ell in range(3, n - 1):  # sewing shells
+        half.add((1, -ell + 1, ell, ell + 2))
+        for i in range(1, ell - 1):
+            half |= {(i, i + 1, ell, ell + 2), (-i, -i - 1, ell, ell + 2)}
+    for ell in range(2, n - 2):
+        half |= {(ell, ell + 1, ell + 2, -ell - 3), (-1, ell, ell + 2, -ell - 3)}
+    half |= {(1, 2, -3, 4), (1, 2, 3, -4), (1, -2, 3, -4)}  # base leftovers
+    return {_face(f) for g in half for f in (g, [-v for v in g])}
+
+
+def eq1_expansion(n: int, b0, b1, b2) -> set[tuple[int, ...]]:
+    """Facets of B(d, i, n) by Eq. (1), the two-step unrolling of its recursion,
+    from the facets b0, b1, b2 of B(d-2, i, n-2), B(d-2, i-1, n-2), B(d-2, i-2, n-2):
+
+    B(d,i,n) = (B(d-2,i,n-2) * (n-1, n))
+             ∪ ((-B(d-2,i-1,n-2)) * (n, -n+1, -n))
+             ∪ (B(d-2,i-2,n-2) * (n-1, -n)).
+    """
+    joins = (
+        (b0, [(n - 1, n)]),
+        ([[-v for v in f] for f in b1], [(n, -n + 1), (-n + 1, -n)]),
+        (b2, [(n - 1, -n)]),
+    )
+    return {_face((*f, *edge)) for facets, path in joins for f in facets for edge in path}
+
+
+def b31_paths(n: int) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
+    """Facets of the two joins whose union is B(3, 1, n):
+
+    B(3,1,n) = (path(n-2, ..., 1, -(n-2), ..., -1) * (n-1, n))
+             ∪ ((1, -(n-2)) * path(n, -(n-1), -n)).
+    """
+    walk = [*range(n - 2, 0, -1), *range(-n + 2, 0)]
+    long_join = {_face((a, b, n - 1, n)) for a, b in zip(walk, walk[1:])}
+    short_join = {_face((1, -n + 2, a, b)) for a, b in [(n, -n + 1), (-n + 1, -n)]}
+    return long_join, short_join
+
+
+def suspension(facets, poles: tuple[int, int]) -> set[tuple[int, ...]]:
+    """Facets of the join of `facets` with the two-point complex on `poles`."""
+    return {_face((*f, p)) for f in facets for p in poles}

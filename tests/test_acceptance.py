@@ -33,7 +33,6 @@ from csspheres.core import (
     cone,
     fh_vectors,
     simplex,
-    suspension,
     topology_report,
 )
 from csspheres.errors import InvalidParameters
@@ -41,7 +40,6 @@ from csspheres.flips import build_gamma, fg_pair
 from csspheres.iso import automorphisms, isomorphic
 from csspheres.props import (
     cs_neighborliness,
-    delta3_facet_formula,
     edge_link_census,
     enum_S,
     facet_necessary_check,
@@ -55,8 +53,11 @@ from csspheres.shelling import is_shelling, shelling_B42, symmetric_shelling_del
 from oracles import (
     brute_force_automorphisms,
     brute_force_isomorphism,
+    delta3_facets,
+    eq1_expansion,
     is_shelling_by_purity,
     sphere_facet_count,
+    suspension,
 )
 
 
@@ -68,7 +69,7 @@ def test_criterion_01_facet_formula():
     t0 = time.time()
     for n in range(4, 13):
         delta = build_delta(3, n)
-        assert delta.facets == delta3_facet_formula(n)
+        assert delta.facets == delta3_facets(n)
         # facet count derived through Dehn-Sommerville from f_0, f_1
         assert len(delta.facets) == sphere_facet_count(2, n) == 2 * n * n - 4 * n
     _report(1, "facets(delta(3,n)) = closed formula, |facets| = 2n^2-4n, n=4..12", t0)
@@ -126,10 +127,9 @@ def test_criterion_03_ball_suite():
                         assert is_subcomplex(build_B(d - 1, i, n), rim), (d, i, j, n)
             # two-step expansion of the recursion
             if d >= 3:
-                from csspheres.builders import eq1_expansion
-
                 for i in range(0, top):
-                    assert eq1_expansion(d, i, n) == build_B(d, i, n), (d, i, n)
+                    lower = (build_B(d - 2, i - j, n - 2).facets for j in range(3))
+                    assert eq1_expansion(n, *lower) == build_B(d, i, n).facets, (d, i, n)
             # sewn cones of step n contain the ±balls of step n+1
             if n < 10:
                 c = top - 1
@@ -212,7 +212,7 @@ def test_criterion_05_lambda_suite():
     _report(5, "edge-link spheres: cs, cs-k-neighborly, iso/non-iso vs delta, special edges", t0)
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [3, 4, 5])
 def test_criterion_05_lambda_threshold_beyond_k2(k):
     """For k > 2 the edge-link sphere is a second cs-k-neighborly (2k-1)-sphere.
 
@@ -472,7 +472,7 @@ def test_criterion_11_oracle_equivalence():
     small = [
         cross_polytope(2),
         simplex([1, 2, 3, 4], 4).boundary(),
-        suspension(simplex([1, 2, 3], 5).boundary(), (4, 5)),
+        Complex(suspension(simplex([1, 2, 3], 5).boundary().facets, (4, 5)), 5),
         build_B(3, 1, 4),
         build_delta(1, 4),
         build_delta(3, 4),

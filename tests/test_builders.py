@@ -7,12 +7,10 @@ import pytest
 
 from csspheres import builders
 from csspheres.builders import (
-    b31_paths,
     build_B,
     build_delta,
     build_lambda,
     cross_polytope,
-    eq1_expansion,
     rho_embed,
     sew,
     squeezed_ball,
@@ -22,7 +20,7 @@ from csspheres.core import Complex, cone, from_walk, simplex, topology_report
 from csspheres.errors import InvalidParameters
 from csspheres.props import is_cs, is_subcomplex
 
-from oracles import gale_family, sphere_facet_count
+from oracles import b31_paths, eq1_expansion, gale_family, sphere_facet_count
 
 
 def test_cross_polytope():
@@ -65,12 +63,8 @@ def test_b31_explicit_formula():
     assert got.facets == {tuple(sorted(f, key=lambda v: (abs(v), v < 0))) for f in expected}
     # independent route: path * edge plus edge * path
     for n in (5, 6, 9):
-        long_path, short_path = b31_paths(n)
-        by_joins = Complex(
-            long_path.join(from_walk([n - 1, n], n)).facets
-            | simplex([1, -(n - 2)], n).join(short_path).facets,
-            n,
-        )
+        long_join, short_join = b31_paths(n)
+        by_joins = Complex(long_join | short_join, n)
         assert by_joins == build_B(3, 1, n)
         assert len(by_joins.facets) == 2 * n - 3
 
@@ -114,7 +108,8 @@ def test_sew_regression():
 
 def test_eq1_two_step_expansion():
     for d, i, n in [(3, 1, 5), (3, 1, 8), (4, 1, 7), (5, 1, 8), (5, 2, 8), (6, 2, 9)]:
-        assert eq1_expansion(d, i, n) == build_B(d, i, n), (d, i, n)
+        lower = (build_B(d - 2, i - j, n - 2).facets for j in range(3))
+        assert eq1_expansion(n, *lower) == build_B(d, i, n).facets, (d, i, n)
 
 
 def test_delta_is_ball_boundary():

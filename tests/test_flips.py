@@ -5,14 +5,16 @@ from __future__ import annotations
 import pytest
 
 from csspheres.builders import build_delta
-from csspheres.core import simplex, suspension, topology_report
+from csspheres.core import Complex, simplex, topology_report
 from csspheres.errors import InvalidParameters
 from csspheres.flips import bistellar_flip, build_gamma, fg_pair
 from csspheres.props import cs_neighborliness, is_cs
 
+from oracles import suspension
+
 
 def test_bistellar_flip_bipyramid():
-    bp = suspension(simplex([1, 2, 3], 5).boundary(), (4, 5))
+    bp = Complex(suspension(simplex([1, 2, 3], 5).boundary().facets, (4, 5)), 5)
     out = bistellar_flip(bp, (1, 2), (4, 5))
     assert (1, 4, 5) in out.facets and (2, 4, 5) in out.facets
     assert (1, 2, 4) not in out.facets and (1, 2, 5) not in out.facets
@@ -27,7 +29,7 @@ def test_bistellar_flip_errors():
         bistellar_flip(bd, (1,), (2, 3, 4))
     with pytest.raises(InvalidParameters, match="not in complex"):
         bistellar_flip(bd, (1, 2, 3, 4), (1, 2))
-    bp = suspension(simplex([1, 2, 3], 6).boundary(), (4, 5))
+    bp = Complex(suspension(simplex([1, 2, 3], 6).boundary().facets, (4, 5)), 6)
     with pytest.raises(InvalidParameters, match="is not the boundary of the simplex"):
         bistellar_flip(bp, (4,), (1, 6))  # vertex 6 absent, link of 4 is a triangle
 

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 
 from csspheres import iso
 from csspheres.builders import build_B, build_delta, build_lambda, cross_polytope
-from csspheres.core import Complex, simplex, sort_face, suspension
+from csspheres.core import Complex, simplex, sort_face
 from csspheres.errors import SearchBudgetExceeded
 from csspheres.flips import build_gamma
 from csspheres.props import edge_link_census
 from csspheres.sew3 import build_delta_I, enum_I
 from csspheres.iso import automorphisms, canonical_form, isomorphic, necessary_conditions
 
-from oracles import brute_force_automorphisms, brute_force_isomorphism
+from oracles import brute_force_automorphisms, brute_force_isomorphism, suspension
 
 
 def test_automorphisms_cross():
@@ -83,7 +83,7 @@ def test_agrees_with_brute_force_on_small_fixtures():
         cross_polytope(2),
         cross_polytope(3),
         simplex([1, 2, 3, 4], 4).boundary(),
-        suspension(simplex([1, 2, 3], 5).boundary(), (4, 5)),
+        Complex(suspension(simplex([1, 2, 3], 5).boundary().facets, (4, 5)), 5),
         build_B(3, 1, 4),
         build_delta(1, 4),
         build_lambda(1, 4),  # an 8-cycle, like build_delta(1, 4)

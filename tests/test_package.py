@@ -48,9 +48,14 @@ def test_star_import_and_dir_list_every_export():
 
 
 def test_unknown_package_attribute_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        csspheres.no_such_name  # noqa: B018
-    assert not hasattr(csspheres, "no_such_name")
+    # The closed forms of built objects are oracles in tests/oracles.py, not library names.
+    for name in ("no_such_name", "suspension", "delta3_facet_formula"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(csspheres, name)
+        assert not hasattr(csspheres, name)
+    for module, name in [("builders", "eq1_expansion"), ("builders", "b31_paths"),
+                         ("core", "suspension"), ("props", "delta3_facet_formula")]:
+        assert not hasattr(importlib.import_module(f"csspheres.{module}"), name), (module, name)
 
 
 def _records():

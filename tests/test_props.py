@@ -21,7 +21,6 @@ from csspheres.flips import build_gamma
 from csspheres.props import (
     census_at_least,
     cs_neighborliness,
-    delta3_facet_formula,
     edge_link_census,
     enum_S,
     facet_necessary_check,
@@ -30,7 +29,7 @@ from csspheres.props import (
     stackedness,
 )
 
-from oracles import coface_counts, cs_neighborliness as neighborliness_oracle, s_family
+from oracles import coface_counts, cs_neighborliness as neighborliness_oracle, delta3_facets, s_family
 
 
 def test_is_cs():
@@ -194,15 +193,13 @@ def test_S_members_are_facets_and_positive_facets_match(k, n):
 
 
 def test_delta3_formula():
-    fam = delta3_facet_formula(4)
+    fam = delta3_facets(4)
     for f in [(1, 2, -3, 4), (1, 2, 3, -4), (1, -2, 3, -4)]:
         assert canon_face(f) in fam
     for n in range(4, 13):
-        fam = delta3_facet_formula(n)
+        fam = delta3_facets(n)
         assert len(fam) == 2 * n * n - 4 * n
         assert fam == build_delta(3, n).facets
-    with pytest.raises(InvalidParameters):
-        delta3_facet_formula(3)
 
 
 def test_edge_link_census_delta3():

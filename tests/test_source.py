@@ -6,14 +6,19 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "csspheres"
+ORACLES = Path(__file__).resolve().with_name("oracles.py")
+
+
+def _nodes(files):
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path, node
 
 
 def _library_nodes():
     files = sorted(SRC.glob("*.py"))
     assert files, f"no modules under {SRC}"
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            yield path, node
+    return _nodes(files)
 
 
 def test_library_has_no_assert_statements():
@@ -23,18 +28,31 @@ def test_library_has_no_assert_statements():
     assert hits == [], f"assert statements in the library: {hits}"
 
 
-def test_library_does_not_import_dataclasses():
-    # Importing `dataclasses` pulls in `inspect`, `ast` and `dis`, and each
-    # decorated class generates code with `exec`: a cost every fresh CLI
-    # process pays.  Records are `typing.NamedTuple`s instead.
+def _imports_of(nodes, package: str) -> list[str]:
+    """`file:line` of each absolute import of `package` or one of its submodules."""
     hits = []
-    for path, node in _library_nodes():
+    for path, node in nodes:
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] == "dataclasses" for name in names):
+        if any(name.split(".")[0] == package for name in names):
             hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_library_does_not_import_dataclasses():
+    # Importing `dataclasses` pulls in `inspect`, `ast` and `dis`, and each
+    # decorated class generates code with `exec`: a cost every fresh CLI
+    # process pays.  Records are `typing.NamedTuple`s instead.
+    hits = _imports_of(_library_nodes(), "dataclasses")
     assert hits == [], f"dataclasses imported by the library: {hits}"
+
+
+def test_oracles_import_nothing_from_the_library():
+    # An oracle that called the code it checks would agree with it by
+    # construction; the closed forms of built objects must stay independent.
+    hits = _imports_of(_nodes([ORACLES]), "csspheres")
+    assert hits == [], f"csspheres imported by the oracles: {hits}"
