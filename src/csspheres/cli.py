@@ -79,13 +79,21 @@ def _indices(text: str | None) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 
-def _build_delta_i(_builders, args):
-    from . import sew3
+def _build_delta_i(builders, args):
+    """Delta(I), and with --tree-out the edges of T(I), the facet-ridge graph
+    of the ball B(I) that is sewn: one edge a line, endpoints as comma-joined
+    facet labels, in canonical order."""
+    from . import core, sew3
 
-    index_set = sew3.IndexSet(args.n, _indices(args.i_set))
+    ball = sew3.build_B_I(sew3.IndexSet(args.n, _indices(args.i_set)))
     if args.tree_out:
-        _write(sew3.build_T(index_set).edge_list_text(), args.tree_out)
-    return sew3.build_delta_I(index_set)
+        tree = core.facet_ridge_graph(ball)
+        lines = [
+            ",".join(map(str, a)) + "\t" + ",".join(map(str, b))
+            for a, nbs in tree.items() for b in nbs if core.face_key(a) < core.face_key(b)
+        ]
+        _write("\n".join(lines) + "\n", args.tree_out)
+    return builders.sew(builders.build_delta(3, args.n), ball)
 
 
 # build kind -> (options it requires besides --n, builder from the `builders`
@@ -202,12 +210,13 @@ def cmd_sew(args) -> int:
 def cmd_shell(args) -> int:
     from . import builders, shelling
 
+    # the order first: its bound on n is the one this command states
     if args.kind == "delta3":
-        c = builders.build_delta(3, args.n)
         order = shelling.symmetric_shelling_delta3(args.n)
+        c = builders.build_delta(3, args.n)
     else:
-        c = builders.build_B(4, 2, args.n)
         order = shelling.shelling_B42(args.n)
+        c = builders.build_B(4, 2, args.n)
     result = shelling.is_shelling(c, order)
     if not result.valid:
         print(f"FAIL shelling of {args.kind} n={args.n} breaks at position {result.failed_at}")

@@ -1,21 +1,21 @@
-"""Three-dimensional sewing with facet trees.
+"""Three-dimensional sewing along facet trees.
 
-For an admissible index set I the tree T(I) is a subgraph of the facet-ridge
-graph of build_delta(3, n): a vertical column of facets through the edge
-{1,2}, a short vertical path through the edge {1, -(n-2)}, and horizontal
-row paths through row edges {n-1, n} and {n-i-1, n-i+1} for i in I.  The
-complex B(I) generated by its nodes is a cs-1-neighborly 1-stacked 3-ball,
-and sewing ±B(I) out of the sphere yields the cs-2-neighborly 3-sphere
-Delta(I) on V_{n+1}.
+For an admissible index set I the ball B(I) is generated by facets of
+build_delta(3, n): a vertical column of facets through the edge {1,2}, a
+short vertical path through the edge {1, -(n-2)}, and horizontal row paths
+through row edges {n-1, n} and {n-i-1, n-i+1} for i in I.  B(I) is a
+cs-1-neighborly 1-stacked 3-ball, so its facet-ridge graph is a tree: that
+graph is the facet tree T(I).  Sewing ±B(I) out of the sphere yields the
+cs-2-neighborly 3-sphere Delta(I) on V_{n+1}.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .builders import build_delta, sew
-from .core import Complex, Face, canon_face, face_key
+from .core import Complex, Face, canon_face, facet_ridge_graph
 from .errors import InvalidParameters
 
 MIN_N = 10
@@ -62,21 +62,6 @@ def enum_I(n: int) -> list[IndexSet]:
     return sorted(out, key=lambda s: s.indices)
 
 
-class FacetTree(NamedTuple):
-    """Tree on facets of build_delta(3, n); edges are ridge-sharing pairs."""
-
-    nodes: tuple[Face, ...]
-    edges: tuple[tuple[Face, Face], ...]
-
-    def edge_list_text(self) -> str:
-        """One edge per line, endpoints as comma-joined facet labels."""
-        lines = [
-            ",".join(str(v) for v in a) + "\t" + ",".join(str(v) for v in b)
-            for a, b in self.edges
-        ]
-        return "\n".join(lines) + "\n"
-
-
 def _column_path(n: int) -> list[Face]:
     """Facets through {1,2} with all-positive complements, end to end.
 
@@ -109,68 +94,38 @@ def _row_nodes(n: int, row: int, steps: int) -> list[Face]:
     return [canon_face(e + base) for e in edges]
 
 
-def build_T(index_set: IndexSet) -> FacetTree:
-    """Assemble and validate the facet tree T(I)."""
-    n = index_set.n
+def build_B_I(index_set: IndexSet) -> Complex:
+    """The 3-ball generated by the column, the row paths and the short path.
+
+    Raises unless these are 2n - 3 facets of build_delta(3, n) whose
+    facet-ridge graph is a tree.
+    """
+    n, indices = index_set
+    nodes = set(_column_path(n))
+    for row, end in zip((0, *indices), (*indices, n - 2)):  # row 0 and a row per index
+        nodes.update(_row_nodes(n, row, end - row))
+    short = ((1, -(n - 2), n - 1, n), (1, -(n - 2), -(n - 1), n), (1, -(n - 2), -(n - 1), -n))
+    nodes.update(canon_face(f) for f in short)
+
     delta = build_delta(3, n)
-    rows = (0,) + index_set.indices
-    row_ends = index_set.indices + (n - 2,)
-
-    column = _column_path(n)
-    nodes: list[Face] = list(column)
-    edges: list[tuple[Face, Face]] = list(zip(column, column[1:]))
-
-    for row, end in zip(rows, row_ends):
-        path = _row_nodes(n, row, end - row)
-        for a, b in zip(path, path[1:]):
-            edges.append((a, b))
-        nodes.extend(p for p in path[1:] if p not in nodes)
-
-    short = [
-        canon_face((1, -(n - 2), n - 1, n)),
-        canon_face((1, -(n - 2), -(n - 1), n)),
-        canon_face((1, -(n - 2), -(n - 1), -n)),
-    ]
-    edges.extend(zip(short, short[1:]))
-    nodes.extend(p for p in short[1:] if p not in nodes)
-
     for f in nodes:
         if f not in delta.facets:
             raise RuntimeError(f"generated node {f} is not a facet")
     if len(nodes) != 2 * n - 3:
         raise RuntimeError(f"expected {2 * n - 3} nodes, got {len(nodes)}")
-    for a, b in edges:
-        if len(set(a) & set(b)) != 3:
-            raise RuntimeError(f"tree edge {a}-{b} shares no ridge")
-    adjacency = _adjacency(nodes, edges)
-    if len(adjacency) != len(nodes):
-        raise RuntimeError("a tree edge leaves the node set")
-    _center(adjacency)  # raises unless the nodes and edges form a tree
-
-    order = sorted(nodes, key=face_key)
-    canon_edges = tuple(
-        sorted((tuple(sorted(e, key=face_key)) for e in edges), key=lambda p: (face_key(p[0]), face_key(p[1])))
-    )
-    return FacetTree(nodes=tuple(order), edges=canon_edges)
+    ball = Complex._derived(nodes, n)
+    _center(facet_ridge_graph(ball))  # raises unless the facet-ridge graph is a tree
+    return ball
 
 
-def build_B_I(index_set: IndexSet) -> Complex:
-    """The 3-ball generated by the nodes of T(I)."""
-    tree = build_T(index_set)
-    return Complex(tree.nodes, index_set.n)
+def build_T(index_set: IndexSet) -> dict[Face, tuple[Face, ...]]:
+    """The facet tree T(I): the facet-ridge graph of B(I), in canonical order."""
+    return facet_ridge_graph(build_B_I(index_set))
 
 
 def build_delta_I(index_set: IndexSet) -> Complex:
     """The cs 3-sphere on V_{n+1} obtained by sewing ±B(I) out of the base sphere."""
     return sew(build_delta(3, index_set.n), build_B_I(index_set))
-
-
-def _adjacency(nodes: Iterable[Hashable], edges: Iterable[tuple]) -> dict[Hashable, list]:
-    adjacency: dict[Hashable, list] = {v: [] for v in nodes}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    return adjacency
 
 
 def _center(adj: dict) -> tuple[list, list]:
@@ -232,11 +187,9 @@ def tree_canonical_code(tree: Mapping) -> str:
     return min(encode(c, [encode(o) for o in centers if o != c]) for c in centers)
 
 
-def tree_isomorphic(t1: FacetTree | Mapping, t2: FacetTree | Mapping) -> bool:
+def tree_isomorphic(t1: Mapping, t2: Mapping) -> bool:
     """Unlabeled tree isomorphism via canonical centroid-rooted encodings.
 
-    Each tree is a FacetTree or a mapping from every node to its neighbours.
+    Each tree is a mapping from every node to its neighbours.
     """
-    g1 = _adjacency(t1.nodes, t1.edges) if isinstance(t1, FacetTree) else t1
-    g2 = _adjacency(t2.nodes, t2.edges) if isinstance(t2, FacetTree) else t2
-    return tree_canonical_code(g1) == tree_canonical_code(g2)
+    return tree_canonical_code(t1) == tree_canonical_code(t2)

@@ -8,7 +8,8 @@ and `test_source.py` checks that.
 The paper's closed forms of objects the builders sew live here too, as
 facet sets: Jockusch's facet list of Δ^3_n (`delta3_facets`), the two-step
 unrolling Eq. (1) of B(d, i, n) (`eq1_expansion`), the path joins of
-B(3, 1, n) (`b31_paths`), and the suspension of a complex (`suspension`).
+B(3, 1, n) (`b31_paths`), the suspension of a complex (`suspension`), and
+the path description of the facet tree T(I) (`facet_tree_edges`).
 """
 
 from __future__ import annotations
@@ -323,3 +324,26 @@ def b31_paths(n: int) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
 def suspension(facets, poles: tuple[int, int]) -> set[tuple[int, ...]]:
     """Facets of the join of `facets` with the two-point complex on `poles`."""
     return {_face((*f, p)) for f in facets for p in poles}
+
+
+def facet_tree_edges(n: int, indices) -> set[frozenset[tuple[int, ...]]]:
+    """Edges of the facet tree T(I) of the index set I = (i_1 < ... < i_m), as
+    pairs of consecutive facets on the paths that the paper joins:
+
+    column  (1, 2) * path(3, 5, ..., the odd labels up to n, then the even
+            labels down from n, ..., 6, 4);
+    row r   (n-1, n) * path(2, 1, -(n-2), ..., -(n-1-i_1)) for r = 0, and
+            (n-i-1, n-i+1) * path(2, 1, -(n-i-2), ..., -(n-1-i_{r+1})) for
+            i = i_r, where i_{m+1} = n-2;
+    short   (1, -(n-2)) * path(n-1, n, -(n-1), -n).
+    """
+    joins = [((1, 2), [*range(3, n + 1, 2), *range(n - n % 2, 3, -2)]),
+             ((1, -(n - 2)), [n - 1, n, -(n - 1), -n])]
+    for i, end in zip((0, *indices), (*indices, n - 2)):
+        row_edge = (n - 1, n) if i == 0 else (n - i - 1, n - i + 1)
+        joins.append((row_edge, [2, 1, *range(-(n - 2 - i), -(n - 2 - end))]))
+    edges = set()
+    for edge, walk in joins:
+        facets = [_face((*edge, a, b)) for a, b in zip(walk, walk[1:])]
+        edges.update(frozenset(pair) for pair in zip(facets, facets[1:]))
+    return edges

@@ -283,12 +283,48 @@ def test_cli_shell(tmp_path, capsys):
     assert main(["shell", "b42", "--n", "6"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["shell", "delta3", "--n", "3"], "error: symmetric shelling defined for n >= 4, got 3"),
+        (["shell", "b42", "--n", "4"], "error: shelling_B42 requires n >= 5, got 4"),
+    ],
+    ids=["delta3", "b42"],
+)
+def test_cli_shell_states_its_own_bound(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip() == message
+
+
+# `build delta-i --n 10 --i-set 3 --tree-out`: the 2n - 4 edges of T(I), one a
+# line, endpoints as comma-joined facet labels, in canonical order
+TREE_10_3 = """\
+1,2,3,5\t1,2,5,7
+1,2,4,6\t1,2,6,8
+1,2,5,7\t1,2,7,9
+1,2,6,8\t1,2,8,10
+1,2,6,8\t1,-5,6,8
+1,2,7,9\t1,2,9,10
+1,2,8,10\t1,2,9,10
+1,2,9,10\t1,-8,9,10
+1,-5,6,8\t-4,-5,6,8
+1,-8,9,10\t1,-8,-9,10
+1,-8,9,10\t-7,-8,9,10
+1,-8,-9,10\t1,-8,-9,-10
+-1,-2,6,8\t-2,-3,6,8
+-2,-3,6,8\t-3,-4,6,8
+-3,-4,6,8\t-4,-5,6,8
+-6,-7,9,10\t-7,-8,9,10
+"""
+
+
 def test_cli_delta_i_with_tree(tmp_path):
     out = tmp_path / "dI.json"
     tree = tmp_path / "tree.tsv"
     assert main(["build", "delta-i", "--n", "10", "--i-set", "3",
                  "--out", str(out), "--tree-out", str(tree)]) == 0
-    assert len(tree.read_text().strip().splitlines()) == 16
+    assert tree.read_text() == TREE_10_3
     payload = json.loads(out.read_text())
     assert payload["ambient_n"] == 11
 

@@ -25,7 +25,7 @@ from csspheres.props import (
     enum_S,
     stackedness,
 )
-from csspheres.sew3 import FacetTree, IndexSet, build_T
+from csspheres.sew3 import IndexSet
 from csspheres.shelling import ShellingOrder, is_shelling, shelling_B42
 
 SRC = str(Path(csspheres.__file__).resolve().parents[1])
@@ -69,7 +69,6 @@ def _records():
         SWitnessFamily: (enum_S(2, 6), ("by_m",)),
         FlipPair: (fg_pair(2, 3), ("f", "g")),
         IndexSet: (IndexSet(12, (3,)), ("n", "indices")),
-        FacetTree: (build_T(IndexSet(10, (3,))), ("nodes", "edges")),
         ShellingOrder: (is_shelling(build_B(4, 2, 6), shelling_B42(6)), ("facets", "restriction_faces", "failed_at")),
     }
 

@@ -7,8 +7,10 @@ import itertools
 import networkx as nx
 import pytest
 
+from csspheres import sew3
 from csspheres.builders import build_delta
-from csspheres.core import canon_face, facet_ridge_graph, topology_report
+from csspheres.cli import main
+from csspheres.core import canon_face, topology_report
 from csspheres.errors import InvalidParameters
 from csspheres.props import cs_neighborliness, edge_link_census, is_cs, stackedness
 from csspheres.sew3 import (
@@ -20,6 +22,7 @@ from csspheres.sew3 import (
     tree_canonical_code,
     tree_isomorphic,
 )
+from oracles import facet_tree_edges
 
 
 def test_enum_I_small():
@@ -49,23 +52,21 @@ def _positive_through_12(faces) -> set:
 @pytest.mark.parametrize("n", [10, 11, 12])
 def test_tree_shape(n):
     for index_set in enum_I(n):
-        tree = build_T(index_set)
-        assert len(tree.nodes) == 2 * n - 3
-        g = nx.Graph(tree.edges)
+        g = nx.Graph(build_T(index_set))
+        assert g.number_of_nodes() == 2 * n - 3
         assert nx.is_tree(g)
         delta = build_delta(3, n)
-        for f in tree.nodes:
+        for f in g.nodes:
             assert f in delta.facets
-        for a, b in tree.edges:
+        for a, b in g.edges:
             assert len(set(a) & set(b)) == 3
-        assert _positive_through_12(tree.nodes) == _positive_through_12(delta.facets)
+        assert _positive_through_12(g.nodes) == _positive_through_12(delta.facets)
 
 
 def test_tree_row_zero_start():
     # the row-0 path starts 12(n-1)n, 1(-n+2)(n-1)n, (-n+3)(-n+2)(n-1)n, ...
     n = 10
-    tree = build_T(IndexSet(n, (3,)))
-    g = nx.Graph(tree.edges)
+    g = nx.Graph(build_T(IndexSet(n, (3,))))
     a = canon_face((1, 2, n - 1, n))
     b = canon_face((1, -(n - 2), n - 1, n))
     c = canon_face((-(n - 3), -(n - 2), n - 1, n))
@@ -85,12 +86,33 @@ def test_ball_properties():
             assert topology_report(ball).is_ball()
 
 
-def test_ball_facet_ridge_graph_is_the_tree():
-    for index_set in enum_I(10):
-        tree = build_T(index_set)
-        graph = nx.Graph(facet_ridge_graph(build_B_I(index_set)))
-        assert set(graph.nodes) == set(tree.nodes)
-        assert {frozenset(e) for e in graph.edges} == {frozenset(e) for e in tree.edges}
+@pytest.mark.parametrize("n", [10, 12, 14])
+def test_tree_is_the_paths_of_the_paper(n):
+    # T(I) is derived as the facet-ridge graph of B(I); the paper describes
+    # it as a column, row paths and a short path of facets.
+    for index_set in enum_I(n):
+        edges = {frozenset((a, b)) for a, nbs in build_T(index_set).items() for b in nbs}
+        assert len(edges) == 2 * n - 4
+        assert edges == facet_tree_edges(n, index_set.indices), index_set
+
+
+def _replace_column_end(monkeypatch, facet):
+    column = sew3._column_path
+    monkeypatch.setattr(sew3, "_column_path", lambda n: column(n)[:-1] + ([facet] if facet else []))
+
+
+def test_ball_refuses_nodes_that_do_not_make_the_tree(monkeypatch):
+    index_set = IndexSet(10, (3,))
+    _replace_column_end(monkeypatch, (1, 2, 3, 4))
+    with pytest.raises(RuntimeError, match=r"generated node \(1, 2, 3, 4\) is not a facet"):
+        build_B_I(index_set)
+    _replace_column_end(monkeypatch, None)
+    with pytest.raises(RuntimeError, match="expected 17 nodes, got 16"):
+        build_B_I(index_set)
+    # a facet of the sphere that shares no ridge with the other nodes
+    _replace_column_end(monkeypatch, canon_face((-1, -2, -3, -5)))
+    with pytest.raises(InvalidParameters, match="not a tree"):
+        build_B_I(index_set)
 
 
 def test_sewn_sphere_properties():
@@ -145,13 +167,18 @@ def test_trees_pairwise_non_isomorphic():
             assert tree_isomorphic(t, t)
 
 
-def test_tree_edge_list_export():
+def test_tree_edge_list_export(tmp_path):
     tree = build_T(IndexSet(10, (3,)))
-    text = tree.edge_list_text()
-    lines = text.strip().splitlines()
-    assert len(lines) == len(tree.edges) == 2 * 10 - 4
-    a, b = lines[0].split("\t")
-    assert len(a.split(",")) == 4 and len(b.split(",")) == 4
+    out = tmp_path / "tree.tsv"
+    assert main(["build", "delta-i", "--n", "10", "--i-set", "3", "--tree-out", str(out),
+                 "--out", str(tmp_path / "dI.json")]) == 0
+    lines = out.read_text().strip().splitlines()
+    edges = [tuple(tuple(int(v) for v in f.split(",")) for f in line.split("\t")) for line in lines]
+    rank = {f: k for k, f in enumerate(tree)}  # the mapping lists facets in canonical order
+    assert edges == [(a, b) for a, nbs in tree.items() for b in nbs if rank[a] < rank[b]]
+    assert len(edges) == 2 * 10 - 4
+    for a, b in edges:
+        assert len(a) == len(b) == 4 and len(set(a) & set(b)) == 3
 
 
 def test_tree_isomorphic_basics():
