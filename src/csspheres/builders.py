@@ -23,13 +23,16 @@ import functools
 import itertools
 from math import comb
 
-from .core import Complex, antipode_face, cone, from_walk
+from .core import Complex, antipode_face, cone, from_walk, h_from_f
 from .errors import InvalidParameters
 
 
 # Largest cross-polytope built: 2^20 facets.  Larger ones, and squeezed
 # families of more facets, are refused before anything is allocated.
 MAX_CROSS_N = 20
+# The spheres that one build_delta request keeps in its memo hold at most
+# 2^22 facets in all; larger requests are refused before anything is built.
+_DELTA_MEMO_BITS = 22
 
 
 @functools.cache
@@ -48,11 +51,36 @@ def build_delta(d: int, n: int) -> Complex:
     """The cs combinatorial d-sphere on V_n (cs-⌈d/2⌉-neighborly)."""
     if d < 1 or n < d + 1:
         raise InvalidParameters(f"build_delta requires d >= 1 and n >= d+1, got d={d}, n={n}")
+    _refuse_huge_delta(d, n)
     if d == 1:
         return from_walk(list(range(1, n + 1)) + list(range(-1, -n - 1, -1)) + [1], n)
     if n == d + 1:
         return cross_polytope(d + 1)
+    for m in range(d + 2, n):  # fill the memo from below: each call recurses one step of n
+        build_delta(d, m)
     return sew(build_delta(d, n - 1), build_B(d, (d + 1) // 2 - 1, n - 1))
+
+
+def _refuse_huge_delta(d: int, n: int) -> None:
+    """Raise unless the memo of build_delta(d, n) stays within 2^22 facets:
+    every Delta(d, m) with d < m <= n for d >= 2, the cycle alone for d = 1.
+
+    Delta(d, m) is cs-⌈d/2⌉-neighborly, so f_{i-1} = 2^i C(m, i) for
+    i <= ⌈d/2⌉ fixes h_0..h_⌈d/2⌉; the Dehn-Sommerville mirror h_j = h_{d+1-j}
+    gives the rest, and the facet count is the h-sum.  That count is linear
+    in the f-vector, so the memo's total comes from the f-vector summed over
+    the memo's m = low..n (low = d + 1, or n for the cycle), using
+    sum_{m=low}^{n} C(m, i) = C(n+1, i+1) - C(low, i+1).  Delta(d, d+1) alone
+    has 2^(d+1) facets, so d is compared first and no count is huge.
+    """
+    if d < _DELTA_MEMO_BITS:
+        k, low = (d + 1) // 2, n if d == 1 else d + 1
+        f = [2**i * (comb(n + 1, i + 1) - comb(low, i + 1)) for i in range(k + 1)]
+        h = h_from_f((*f, *[0] * (d + 1 - k)))  # h_0..h_k read only f_{-1}..f_{k-1}
+        if sum(h[min(j, d + 1 - j)] for j in range(d + 2)) <= 2**_DELTA_MEMO_BITS:
+            return
+    raise InvalidParameters(
+        f"build_delta({d}, {n}) would keep more than 2^{_DELTA_MEMO_BITS} facets in its memo")
 
 
 @functools.cache
@@ -127,7 +155,8 @@ def squeezed_facet_family(k: int, n: int) -> list[tuple[int, ...]]:
         raise InvalidParameters(f"squeezed family requires k >= 1 and n >= k+1, got k={k}, n={n}")
     # i_j = c_j + j maps the k-subsets c of [n-k], in order, onto the
     # starts with gaps >= 2 and i_k <= n-1: C(n-k, k) facets.
-    if comb(n - k, k) > 2**MAX_CROSS_N:
+    # C(n-k, k) >= C(2m, m) >= 2^m for m = min(k, n-2k), so comb runs on small arguments only
+    if min(k, n - 2 * k) > MAX_CROSS_N or comb(n - k, k) > 2**MAX_CROSS_N:
         raise InvalidParameters(
             f"squeezed family k={k}, n={n} has C({n - k}, {k}) facets, above 2^{MAX_CROSS_N}")
     return [

@@ -161,8 +161,8 @@ class Complex:
 
     def faces_of_card(self, card: int) -> frozenset[Face]:
         """All faces with `card` vertices, materialized from the facets."""
-        if card <= 0:
-            return frozenset([()]) if card == 0 and not self.is_void else frozenset()
+        if card < 0:
+            return frozenset()
         return self.memo(
             ("card", card),
             lambda c: frozenset(
@@ -201,7 +201,7 @@ class Complex:
         Not cached: on the larger spheres it holds every ridge at once.
         """
         by_ridge: dict[Face, list[Face]] = {}
-        for f in self.facets:
+        for f in filter(None, self.facets):  # the empty face has no ridges
             for r in itertools.combinations(f, len(f) - 1):
                 by_ridge.setdefault(r, []).append(f)
         return by_ridge
@@ -251,7 +251,7 @@ class Complex:
         """All faces of dimension at most k."""
         if k < -1:
             raise InvalidParameters(f"skeleton dimension must be >= -1, got {k}")
-        if self.is_void or k >= self.dim:
+        if k >= self.dim:
             return self
         small = [f for f in self.facets if len(f) <= k + 1]
         return Complex(list(self.faces_of_card(k + 1)) + small, self.ambient_n)
@@ -272,8 +272,6 @@ class Complex:
         """Complex generated by the ridges lying in exactly one facet."""
         if not self.is_pure:
             raise InvalidParameters("boundary requires a pure complex")
-        if self.is_void:
-            return self
         by_ridge = self._ridge_map()
         bad = [r for r, fs in by_ridge.items() if len(fs) > 2]
         if bad:
@@ -329,17 +327,9 @@ def from_walk(vertices: list[int], ambient_n: int) -> Complex:
 
     A single vertex gives a point; two vertices give an edge.
     """
-    if not vertices:
-        return Complex([], ambient_n)
     if len(vertices) == 1:
         return Complex([(vertices[0],)], ambient_n)
-    closed = vertices[0] == vertices[-1]
-    seq = vertices[:-1] if closed else vertices
-    edges = [
-        (seq[i], seq[(i + 1) % len(seq)])
-        for i in range(len(seq) if closed else len(seq) - 1)
-    ]
-    return Complex(edges, ambient_n)
+    return Complex(zip(vertices, vertices[1:]), ambient_n)
 
 
 class FHVectors(NamedTuple):
@@ -361,8 +351,6 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
 def fh_vectors(c: Complex) -> FHVectors:
     """Exact f-vector from the face walk plus the matching h-vector."""
     f = c.f_counts()
-    if c.is_void:
-        return FHVectors(f=f, h=(0,))
     return FHVectors(f=f, h=h_from_f(f))
 
 
@@ -397,8 +385,6 @@ class TopologyReport(NamedTuple):
         the two points of S^0 for d = 0.
         """
         d = len(self.z2_betti) - 1
-        if d < 0:
-            return False
         return (
             self.pure
             and self.closed_pseudomanifold

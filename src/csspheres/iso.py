@@ -147,8 +147,6 @@ def isomorphic(a: Complex, b: Complex, budget: int | None = None) -> VertexMap |
     None is a certificate: the canonical forms differ.  `budget` bounds the
     search tree of each complex; exceeding it raises.
     """
-    if not a.vertices() or not b.vertices():
-        return {} if a.facets == b.facets else None
     if len(a.vertices()) != len(b.vertices()) or len(a.facets) != len(b.facets):
         return None
     ca, cb = _canon(a, budget), _canon(b, budget)
@@ -170,8 +168,6 @@ def automorphisms(c: Complex, budget: int | None = None) -> list[VertexMap]:
     search tree and the number of maps listed.
     """
     verts = c.vertices()
-    if not verts:
-        return [{}]
     gens = _canon(c, budget).generators
     group = {tuple(range(len(verts)))}
     stack = list(group)

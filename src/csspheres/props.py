@@ -89,7 +89,7 @@ def stackedness(b: Complex) -> StackednessReport:
     """Compare skeleta of a ball and its boundary: min_i = d - (least interior dim)."""
     if not b.is_pure:
         raise InvalidParameters("stackedness requires a pure complex")
-    if b.is_void or b.dim < 0:
+    if b.dim < 0:
         raise InvalidParameters("stackedness requires a nonempty complex")
     rim = b.boundary()
     if rim.is_void:
@@ -164,7 +164,7 @@ def enum_S(k: int, n: int) -> SWitnessFamily:
 
 def edge_link_census(c: Complex) -> dict[Face, int]:
     """Number of vertices in the link of every edge, as a fresh dict."""
-    if c.is_void or c.dim < 2:
+    if c.dim < 2:
         raise InvalidParameters("edge_link_census requires dim >= 2")
     return {e: size for e, (size, _) in c.edge_incidence().items()}
 

@@ -101,13 +101,12 @@ def build_B_I(index_set: IndexSet) -> Complex:
     facet-ridge graph is a tree.
     """
     n, indices = index_set
+    delta = build_delta(3, n)
     nodes = set(_column_path(n))
     for row, end in zip((0, *indices), (*indices, n - 2)):  # row 0 and a row per index
         nodes.update(_row_nodes(n, row, end - row))
     short = ((1, -(n - 2), n - 1, n), (1, -(n - 2), -(n - 1), n), (1, -(n - 2), -(n - 1), -n))
     nodes.update(canon_face(f) for f in short)
-
-    delta = build_delta(3, n)
     for f in nodes:
         if f not in delta.facets:
             raise RuntimeError(f"generated node {f} is not a facet")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
-from .builders import build_B
+from .builders import _refuse_huge_delta, build_B
 from .core import Complex, Face, antipode_face, canon_face, facet_ridge_graph
 from .errors import InvalidParameters
 
@@ -45,7 +45,7 @@ def is_shelling(c: Complex, order: Sequence[Iterable[int]]) -> ShellingOrder:
     restrictions: list[Face] = []
     for pos, f in enumerate(facets):
         r = tuple(v for v in f if tuple(w for w in f if w != v) in covered)
-        if pos and r in covered:
+        if r in covered:
             return ShellingOrder(facets, tuple(restrictions), failed_at=pos)
         restrictions.append(r)
         for card in range(0, len(f) + 1):
@@ -85,6 +85,7 @@ def symmetric_shelling_delta3(n: int) -> tuple[Face, ...]:
     """
     if n < 4:
         raise InvalidParameters(f"symmetric shelling defined for n >= 4, got {n}")
+    _refuse_huge_delta(3, n)
     half: list[Face] = list(_b31_block(n))
     for k in range(n, 4, -1):
         half.append(canon_face((-(k - 3), -(k - 2), -(k - 1), k)))

@@ -41,6 +41,28 @@ def test_delta_one_is_the_doubled_cycle():
     assert len(d13.facets) == 6
 
 
+@pytest.mark.parametrize("d, n", [(1, 2**21), (2, 1448), (3, 185), (5, 61), (9, 25)])
+def test_delta_memo_budget_admits_exactly_2_22_facets(d, n):
+    # the memo holds the cycle alone for d = 1 and every Delta(d, m),
+    # d < m <= n, for d >= 2; a 2-sphere on 2m vertices has 4m - 4 facets
+    def memo(n):
+        if d == 1:
+            return 2 * n
+        return sum(4 * m - 4 if d == 2 else sphere_facet_count((d + 1) // 2, m) for m in range(d + 1, n + 1))
+
+    assert memo(n) <= 2**22 < memo(n + 1)
+    builders._refuse_huge_delta(d, n)
+    with pytest.raises(InvalidParameters, match="more than 2\\^22 facets"):
+        builders._refuse_huge_delta(d, n + 1)
+
+
+def test_delta_memo_budget_refuses_a_huge_dimension_first():
+    builders._refuse_huge_delta(21, 22)  # the cross-polytope Delta(21, 22) has 2^22 facets
+    for d, n in [(22, 23), (10**9, 10**9 + 1)]:
+        with pytest.raises(InvalidParameters, match="more than 2\\^22 facets"):
+            builders._refuse_huge_delta(d, n)
+
+
 def test_delta_one_matches_sewing_route():
     # the explicit cycle must agree with one sewing step applied by hand
     for n in range(2, 8):

@@ -29,11 +29,12 @@ from csspheres.core import (
     vertex_key,
     z2_betti_numbers,
 )
-from csspheres.errors import InvalidParameters
+from csspheres.errors import InvalidParameters, SearchBudgetExceeded
 from csspheres.fileio import ComplexFile
 from csspheres.flips import build_gamma
 from csspheres.gf2 import gf2_pivots
-from csspheres.props import is_subcomplex
+from csspheres.iso import automorphisms, isomorphic
+from csspheres.props import StackednessReport, edge_link_census, is_subcomplex, stackedness
 from csspheres.sew3 import build_delta_I, enum_I
 
 from oracles import closure, connected, f_vector, gf2_rank, h_vector, maximal_faces, pack_rows, z2_betti
@@ -260,6 +261,51 @@ def test_boundary():
         Complex([(1, 2), (1, 3), (1, 4)], 4).boundary()
     with pytest.raises(InvalidParameters, match="boundary requires a pure complex"):
         Complex([(1, 2, 3), (4,)], 4).boundary()
+
+
+@pytest.mark.parametrize(
+    "c, card0, skeleton, rim, graph, h, ball",
+    [
+        (Complex([], 0), set(), Complex([], 0), Complex([], 0), {}, (0,), False),
+        (Complex([], 3), set(), Complex([], 3), Complex([], 3), {}, (0,), False),
+        (Complex([()], 3), {()}, Complex([()], 3), Complex([], 3), {(): ()}, (1,), False),
+        (Complex([(1,)], 1), {()}, Complex([()], 1), Complex([()], 1), {(1,): ()}, (1, 0), True),
+    ],
+    ids=["void0", "void3", "empty_face", "point"],
+)
+def test_degenerate_complexes_take_the_general_path(c, card0, skeleton, rim, graph, h, ball):
+    assert c.faces_of_card(0) == card0 and c.faces_of_card(-1) == frozenset()
+    assert c.skeleton(-1) == skeleton and c.skeleton(3) is c
+    assert c.boundary() == rim
+    assert facet_ridge_graph(c) == graph
+    assert fh_vectors(c).h == h
+    report = topology_report(c)
+    assert not report.is_sphere() and report.is_ball() == ball
+    identity = {v: v for v in c.vertices()}
+    assert isomorphic(c, Complex(c.facets, 5)) == identity
+    assert isomorphic(c, Complex([], 5)) == ({} if c.is_void else None)
+    assert automorphisms(c) == [identity]
+    # the budget counts the root node, also when there are no vertices
+    with pytest.raises(SearchBudgetExceeded):
+        automorphisms(c, budget=0)
+    with pytest.raises(SearchBudgetExceeded):
+        isomorphic(c, c, budget=0)
+    if c.dim < 0:
+        with pytest.raises(InvalidParameters, match="requires a nonempty complex"):
+            stackedness(c)
+    else:
+        assert stackedness(c) == StackednessReport(min_i=0, witness_interior_face=(1,))
+    with pytest.raises(InvalidParameters, match="requires dim >= 2"):
+        edge_link_census(c)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [[], [2], [1, 2], [1, 2, 3], [1, 2, 3, 1], [1, 2, 1], [1, -2, 3, -2, 1], [3, 1, 2, 1, 3, -1]],
+)
+def test_from_walk_joins_consecutive_vertices(walk):
+    pairs = [walk[i:i + 2] for i in range(len(walk) - 1)]
+    assert from_walk(walk, 3) == Complex([walk] if len(walk) == 1 else pairs, 3)
 
 
 def test_boundary_recursion_formula():

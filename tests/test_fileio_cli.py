@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csspheres
+from csspheres import builders
 from csspheres.builders import build_B, build_delta, build_lambda, cross_polytope, squeezed_ball
 from csspheres.cli import build_parser, main
 from csspheres.core import Complex
@@ -439,6 +440,12 @@ def test_cli_verify_sphere_fails_on_ball(tmp_path, capsys):
     ["build", "cross", "--n", "40"],
     ["build", "delta", "--d", "40", "--n", "41"],
     ["build", "squeezed", "--k", "30", "--n", "100"],  # C(70, 30) ~ 5.5e19 facets
+    ["build", "squeezed", "--k", "1000000", "--n", "100000000"],
+    # memos of more than 2^22 facets
+    ["build", "delta", "--d", "3", "--n", "3000"],
+    ["flips", "--k", "2", "--n", "10000000"],
+    ["shell", "delta3", "--n", "3000"],
+    ["build", "delta-i", "--n", "3000000", "--i-set", "3"],
 ])
 def test_cli_refuses_a_huge_cross_polytope_before_allocating(capsys, argv):
     tracemalloc.start()
@@ -450,6 +457,26 @@ def test_cli_refuses_a_huge_cross_polytope_before_allocating(capsys, argv):
     assert code == 2 and peak < 2**20, (code, peak)
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_builds_a_long_delta_without_deep_recursion(tmp_path, capsys):
+    # one sewing step per n, filled from below: the recursion stays one step deep
+    out = tmp_path / "d2.json"
+    try:
+        assert main(["build", "delta", "--d", "2", "--n", "520", "--out", str(out)]) == 0
+    finally:
+        builders.cache_clear()
+    assert capsys.readouterr().err == ""
+    assert len(read_path(str(out)).complex.facets) == 2076
+
+
+@pytest.mark.parametrize("text", ["# dim=-2 n=0\n", "1\n"], ids=["void", "point"])
+def test_cli_budget_zero_counts_the_root(tmp_path, capsys, text):
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    assert main(["aut", str(path), "--budget", "0"]) == 2
+    assert main(["iso", str(path), str(path), "--budget", "0"]) == 2
+    assert capsys.readouterr().err == "error: exceeded 0 search nodes\n" * 2
 
 
 def test_cli_build_missing_params(tmp_path):
@@ -530,6 +557,9 @@ def fuzz_files(tmp_path_factory):
 # Placeholders in CLI_SPEC for the files of the fuzz_files fixture.
 PATH, OUT = "<path>", "<out>"
 SMALL = st.integers(-2, 8).map(str)
+# --n and --k also take sizes that must be refused before anything is built;
+# --d stays small.
+SIZE = st.one_of(SMALL, st.sampled_from(["3000", "10000000", "1000000000"]))
 WORD = st.sampled_from(["3", "3,5", "5,3", "", "x", "-1", "3,x", " "])
 FMT = st.sampled_from(["json", "text", "xml"])
 # subcommand -> (positional arguments, the options its parser requires, the
@@ -537,16 +567,16 @@ FMT = st.sampled_from(["json", "text", "xml"])
 CLI_SPEC = {
     "build": (
         [st.sampled_from(["cross", "delta", "ball", "lambda", "squeezed", "delta-i", "x"])],
-        {"--n": SMALL},
-        {"--d": SMALL, "--i": SMALL, "--k": SMALL, "--i-set": WORD, "--tree-out": OUT,
+        {"--n": SIZE},
+        {"--d": SMALL, "--i": SMALL, "--k": SIZE, "--i-set": WORD, "--tree-out": OUT,
          "--out": OUT, "--format": FMT},
     ),
     "verify": ([PATH, PATH], {}, {"--cs": None, "--neighborly": SMALL, "--exactly-neighborly": SMALL,
                                   "--sphere": None, "--ball": None, "--stacked": SMALL}),
     "census": ([PATH], {}, {"--at-least": SMALL, "--out": OUT}),
-    "flips": ([], {"--k": SMALL, "--n": SMALL}, {"--j": WORD, "--out": OUT, "--format": FMT}),
+    "flips": ([], {"--k": SIZE, "--n": SIZE}, {"--j": WORD, "--out": OUT, "--format": FMT}),
     "sew": ([], {"--base": PATH, "--ball": PATH}, {"--out": OUT, "--format": FMT}),
-    "shell": ([st.sampled_from(["delta3", "b42", "x"])], {"--n": SMALL}, {"--out": OUT}),
+    "shell": ([st.sampled_from(["delta3", "b42", "x"])], {"--n": SIZE}, {"--out": OUT}),
     "iso": ([PATH, PATH], {}, {"--budget": SMALL}),
     "aut": ([PATH], {}, {"--expect": SMALL, "--budget": SMALL}),
     "export": ([PATH], {"--format": FMT}, {"--out": OUT}),
