@@ -32,6 +32,7 @@ from .errors import InvalidParameters
 MAX_CROSS_N = 20
 # The spheres that one build_delta request keeps in its memo hold at most
 # 2^22 facets in all; larger requests are refused before anything is built.
+# Delta(d, d+1) alone has 2^(d+1) facets, so build_delta and build_B refuse d >= 22.
 _DELTA_MEMO_BITS = 22
 
 
@@ -88,6 +89,8 @@ def build_B(d: int, i: int, n: int) -> Complex:
     """The cs-i-neighborly, i-stacked d-ball B(d, i, n) on V_n; void for i < 0."""
     if d < 1 or n < d + 1:
         raise InvalidParameters(f"build_B requires d >= 1 and n >= d+1, got d={d}, n={n}")
+    if d >= _DELTA_MEMO_BITS:  # checked before the recursion, one step per dimension
+        raise InvalidParameters(f"build_B requires d < {_DELTA_MEMO_BITS}, got d={d}")
     if i > (d + 1) // 2:
         raise InvalidParameters(f"build_B requires i <= ceil(d/2), got d={d}, i={i}")
     if i < 0:

@@ -18,9 +18,10 @@ object and is safe to call concurrently.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InvalidParameters
 from .gf2 import gf2_pivots
@@ -67,6 +68,12 @@ def canon_face(vertices: Iterable[int]) -> Face:
 def antipode_face(face: Iterable[int]) -> Face:
     """Negate every label of a face and restore canonical order."""
     return sort_face(-v for v in face)
+
+
+def _subfaces(faces: Iterable[Face], card: int) -> Iterator[Face]:
+    """Every `card`-subset of each face in turn, repeats included; none of a
+    face with fewer than `card` vertices."""
+    return itertools.chain.from_iterable(map(itertools.combinations, faces, itertools.repeat(card)))
 
 
 class Complex:
@@ -163,12 +170,7 @@ class Complex:
         """All faces with `card` vertices, materialized from the facets."""
         if card < 0:
             return frozenset()
-        return self.memo(
-            ("card", card),
-            lambda c: frozenset(
-                sub for f in c.facets if len(f) >= card for sub in itertools.combinations(f, card)
-            ),
-        )
+        return self.memo(("card", card), lambda c: frozenset(_subfaces(c.facets, card)))
 
     def f_counts(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_d); (0,) for the void complex.
@@ -180,31 +182,21 @@ class Complex:
     def edge_incidence(self) -> Mapping[Face, tuple[int, int]]:
         """Read-only map from every edge to (link vertex count, facet degree).
 
-        One pass over the facets, memoised: the link vertex count is the
-        number of vertices in the link of the edge, the facet degree the
-        number of facets that contain it.
+        Memoised.  A vertex v lies in the link of the edge e exactly when
+        e ∪ {v} is a triangle, so the link vertex count is the number of
+        triangles of the memoised `faces_of_card(3)` that contain e; the facet
+        degree is the number of facets that contain it.
         """
         def build(c: Complex) -> Mapping[Face, tuple[int, int]]:
-            link_verts: dict[Face, set[int]] = {}
-            degree: dict[Face, int] = {}
-            for f in c.facets:
-                for e in itertools.combinations(f, 2):
-                    link_verts.setdefault(e, set()).update(f)
-                    degree[e] = degree.get(e, 0) + 1
-            return MappingProxyType({e: (len(vs) - 2, degree[e]) for e, vs in link_verts.items()})
+            links = Counter(_subfaces(c.faces_of_card(3), 2))
+            return MappingProxyType({e: (links[e], k) for e, k in c._facet_degrees(2).items()})
 
         return self.memo("edges", build)
 
-    def _ridge_map(self) -> dict[Face, list[Face]]:
-        """Facets of a pure complex grouped by their ridges.
-
-        Not cached: on the larger spheres it holds every ridge at once.
-        """
-        by_ridge: dict[Face, list[Face]] = {}
-        for f in filter(None, self.facets):  # the empty face has no ridges
-            for r in itertools.combinations(f, len(f) - 1):
-                by_ridge.setdefault(r, []).append(f)
-        return by_ridge
+    def _facet_degrees(self, card: int) -> Counter[Face]:
+        """How many facets contain each face with `card` vertices.  Not cached:
+        at the ridges of a large sphere it holds every ridge at once."""
+        return Counter(_subfaces(self.facets, card)) if card >= 0 else Counter()
 
     def memo(self, key: Hashable, compute: Callable[["Complex"], object]):
         """`compute(self)`, evaluated once per complex and kept under `key`.
@@ -269,14 +261,14 @@ class Complex:
         return Complex._derived(self.facets - other.facets, self.ambient_n)
 
     def boundary(self) -> "Complex":
-        """Complex generated by the ridges lying in exactly one facet."""
+        """Complex generated by the ridges of facet degree 1; refuses degree > 2."""
         if not self.is_pure:
             raise InvalidParameters("boundary requires a pure complex")
-        by_ridge = self._ridge_map()
-        bad = [r for r, fs in by_ridge.items() if len(fs) > 2]
-        if bad:
-            raise InvalidParameters(f"ridge {bad[0]} lies in {len(by_ridge[bad[0]])} facets")
-        return Complex._derived([r for r, fs in by_ridge.items() if len(fs) == 1], self.ambient_n)
+        degrees = self._facet_degrees(self.dim)
+        bad = next((r for r, k in degrees.items() if k > 2), None)
+        if bad is not None:
+            raise InvalidParameters(f"ridge {bad} lies in {degrees[bad]} facets")
+        return Complex._derived([r for r, k in degrees.items() if k == 1], self.ambient_n)
 
     def antipode(self) -> "Complex":
         """Image under the involution v -> -v."""
@@ -362,7 +354,11 @@ def facet_ridge_graph(c: Complex) -> dict[Face, tuple[Face, ...]]:
     if not c.is_pure:
         raise InvalidParameters("facet-ridge graph requires a pure complex")
     adjacency: dict[Face, list[Face]] = {f: [] for f in c.sorted_facets()}
-    for group in c._ridge_map().values():
+    by_ridge: dict[Face, list[Face]] = {}
+    for f in filter(None, c.facets):  # the empty face has no ridges
+        for r in itertools.combinations(f, len(f) - 1):
+            by_ridge.setdefault(r, []).append(f)
+    for group in by_ridge.values():
         for a, b in itertools.combinations(group, 2):
             adjacency[a].append(b)
             adjacency[b].append(a)
@@ -432,8 +428,7 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
         counts[card] = len(level)
         if card == 1:
             break
-        subs = itertools.chain.from_iterable(map(itertools.combinations, level, itertools.repeat(card - 1)))
-        below = dict(zip(dict.fromkeys(subs), itertools.count()))
+        below = dict(zip(dict.fromkeys(_subfaces(level, card - 1)), itertools.count()))
         cleared = set(gf2_pivots(tuple(map(below.__getitem__, itertools.combinations(f, card - 1)))
                                  for i, f in enumerate(level) if i not in cleared))
         ranks[card] = len(cleared)
@@ -450,10 +445,11 @@ def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
 
 
 def topology_report(c: Complex) -> TopologyReport:
-    """Purity, connectivity (beta_0 = 1), closed-pseudomanifold check, Euler
-    number, GF(2) Betti; the counts all come from the one memoised face walk."""
+    """Purity, connectivity (beta_0 = 1), closed-pseudomanifold check (every
+    ridge has facet degree 2), Euler number, GF(2) Betti; the face counts all
+    come from the one memoised face walk."""
     pure = c.is_pure
-    closed = pure and c.dim >= 0 and all(len(fs) == 2 for fs in c._ridge_map().values())
+    closed = pure and c.dim >= 0 and all(k == 2 for k in c._facet_degrees(c.dim).values())
     betti = z2_betti_numbers(c)
     euler = sum((-1) ** i * fi for i, fi in enumerate(c.f_counts()[1:]))
     return TopologyReport(

@@ -95,12 +95,11 @@ def stackedness(b: Complex) -> StackednessReport:
     if rim.is_void:
         raise InvalidParameters("complex has empty boundary")
     d = b.dim
-    for card in range(1, d + 2):
+    for card in range(1, d + 2):  # at d + 1 every facet is interior: the boundary has dim d - 1
         interior = b.faces_of_card(card) - rim.faces_of_card(card)
         if interior:
-            witness = min(interior, key=face_key)
-            return StackednessReport(min_i=d - (card - 1), witness_interior_face=witness)
-    raise InvalidParameters("no interior face found; boundary equals the complex")
+            break
+    return StackednessReport(min_i=d - (card - 1), witness_interior_face=min(interior, key=face_key))
 
 
 def facet_necessary_check(face: Iterable[int]) -> bool:
@@ -126,21 +125,8 @@ def facet_necessary_check(face: Iterable[int]) -> bool:
     return True
 
 
-class SWitnessFamily(NamedTuple):
-    """The guaranteed-facet families S(2k, n)_m and their union."""
-
-    by_m: dict[int, frozenset[Face]]
-
-    @property
-    def members(self) -> frozenset[Face]:
-        out: set[Face] = set()
-        for fam in self.by_m.values():
-            out |= fam
-        return frozenset(out)
-
-
-def enum_S(k: int, n: int) -> SWitnessFamily:
-    """Enumerate all of S(2k, n)_m for 1 <= m <= k.
+def enum_S(k: int, n: int) -> dict[int, frozenset[Face]]:
+    """All of S(2k, n)_m for 1 <= m <= k, keyed by m.
 
     A member has abs-pattern (a_1, a_1+1), then gap-2 pairs (a_i, a_i+2) for
     i <= m, then the fixed tail pairs {n-2(k-i)-1, n-2(k-i)} for i > m; the
@@ -159,11 +145,12 @@ def enum_S(k: int, n: int) -> SWitnessFamily:
             for signs in itertools.product((1, -1), repeat=k):
                 members.add(canon_face(s * v for s, pair in zip(signs, head + tail) for v in pair))
         by_m[m] = frozenset(members)
-    return SWitnessFamily(by_m=by_m)
+    return by_m
 
 
 def edge_link_census(c: Complex) -> dict[Face, int]:
-    """Number of vertices in the link of every edge, as a fresh dict."""
+    """Number of vertices in the link of every edge (the triangles that
+    contain it), as a fresh dict."""
     if c.dim < 2:
         raise InvalidParameters("edge_link_census requires dim >= 2")
     return {e: size for e, (size, _) in c.edge_incidence().items()}

@@ -172,8 +172,6 @@ def tree_canonical_code(tree: Mapping) -> str:
     bottom-up in leaf-stripping order, so no recursion bounds the depth: the
     children of a stripped vertex are its neighbours stripped before it.
     """
-    if len(tree) == 0:
-        return ""
     adj = {v: sorted(tree[v]) for v in tree}
     stripped, centers = _center(adj)
     code: dict = {}

@@ -178,10 +178,11 @@ def test_criterion_04_facet_conditions():
             for f in delta.facets:
                 assert facet_necessary_check(f), (k, n, f)
             fam = enum_S(k, n)
-            assert fam.members <= delta.facets, (k, n)
+            members = frozenset().union(*fam.values())
+            assert members <= delta.facets, (k, n)
             positive_facets = {f for f in delta.facets if min(f) > 0}
-            assert positive_facets == {f for f in fam.members if min(f) > 0}, (k, n)
-            assert len(fam.by_m[k]) == 2**k * math.comb(n - 2 * k + 1, k), (k, n)
+            assert positive_facets == {f for f in members if min(f) > 0}, (k, n)
+            assert len(fam[k]) == 2**k * math.comb(n - 2 * k + 1, k), (k, n)
     _report(4, "facet conditions + guaranteed families S(2k,n), k<=3, n<=12", t0)
 
 

@@ -63,6 +63,22 @@ def test_delta_memo_budget_refuses_a_huge_dimension_first():
             builders._refuse_huge_delta(d, n)
 
 
+def test_ball_refuses_a_huge_dimension_before_recursing():
+    # one recursion step per dimension: B(21, 0, 22) is one facet, d >= 22 is refused at once
+    assert len(build_B(21, 0, 22).facets) == 1
+    for d in (22, 500, 10**9):
+        with pytest.raises(InvalidParameters, match=f"build_B requires d < 22, got d={d}$"):
+            build_B(d, 0, d + 1)
+
+
+def test_lambda_and_squeezed_family_refuse_small_parameters():
+    for d, n in [(0, 5), (3, 3)]:
+        with pytest.raises(InvalidParameters, match=f"build_lambda requires d >= 1 and n >= d\\+1, got d={d}, n={n}"):
+            build_lambda(d, n)
+    with pytest.raises(InvalidParameters, match="squeezed family requires k >= 1 and n >= k\\+1, got k=0, n=5"):
+        squeezed_facet_family(0, 5)
+
+
 def test_delta_one_matches_sewing_route():
     # the explicit cycle must agree with one sewing step applied by hand
     for n in range(2, 8):

@@ -37,7 +37,7 @@ from csspheres.iso import automorphisms, isomorphic
 from csspheres.props import StackednessReport, edge_link_census, is_subcomplex, stackedness
 from csspheres.sew3 import build_delta_I, enum_I
 
-from oracles import closure, connected, f_vector, gf2_rank, h_vector, maximal_faces, pack_rows, z2_betti
+from oracles import closure, coface_counts, connected, f_vector, gf2_rank, h_vector, maximal_faces, pack_rows, z2_betti
 
 import networkx as nx
 
@@ -517,6 +517,33 @@ def test_face_walk_matches_oracle_on_random_complexes(facets):
 def test_antichain_reduction_matches_brute_force(faces):
     # mixed sizes, repeats and () included: the facets are the maximal faces
     assert {frozenset(f) for f in Complex(faces, 5).facets} == maximal_faces(faces)
+
+
+def test_labels_beyond_the_ambient_bound_are_refused():
+    with pytest.raises(InvalidParameters, match="label 5 exceeds ambient bound 3"):
+        Complex([(5,)], 3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_complexes)
+@example([(1, 2, 3), (1, 2, 4), (1, 2, -3)])  # a ridge in three facets
+@example([(1, 2, 3), (1, 2, 4), (3, 4), (5,)])  # maximal edges and a lone vertex
+@example([()])  # {∅}
+def test_facet_degree_counts_match_closure_oracle(facets):
+    # v is a link vertex of the edge e exactly when e ∪ {v} is a face, on impure complexes too
+    c = Complex(facets, 5)
+    tops = maximal_faces(facets)
+    links = coface_counts(facets, 2)
+    assert dict(c.edge_incidence()) == {e: (k, sum(1 for f in tops if set(e) <= f)) for e, k in links.items()}
+    if not c.is_pure:
+        return
+    ridges = coface_counts(facets, c.dim)
+    if any(k > 2 for k in ridges.values()):
+        with pytest.raises(InvalidParameters, match=r"ridge .* lies in [3-9] facets"):
+            c.boundary()
+    else:
+        assert c.boundary().facets == {r for r, k in ridges.items() if k == 1}
+    assert topology_report(c).closed_pseudomanifold == (c.dim >= 0 and all(k == 2 for k in ridges.values()))
 
 
 # labels up to 6 (the complexes stop at 5) and up to 6 of them (facets hold 5)

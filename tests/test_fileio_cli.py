@@ -160,6 +160,13 @@ def test_loads_raises_only_parse_error(text):
         pass
 
 
+def test_unknown_header_key_and_format_are_refused():
+    with pytest.raises(ParseError, match="line 1: unknown header key 'foo'"):
+        loads_text("# foo=1\n1 2\n")
+    with pytest.raises(ParseError, match="unknown format 'xml'"):
+        dumps(ComplexFile(cross_polytope(2)), "xml")
+
+
 def test_cli_build_verify(tmp_path, capsys):
     out = tmp_path / "d38.json"
     assert main(["build", "delta", "--d", "3", "--n", "8", "--out", str(out)]) == 0
@@ -170,6 +177,22 @@ def test_cli_build_verify(tmp_path, capsys):
     assert len(lines) == 3 and all(line.startswith("PASS") for line in lines)
     # a failing check exits 1
     assert main(["verify", str(out), "--neighborly", "3"]) == 1
+
+
+def test_cli_verify_exactly_neighborly_names_its_witness(tmp_path, capsys):
+    out = tmp_path / "d38.json"
+    assert main(["build", "delta", "--d", "3", "--n", "8", "--out", str(out)]) == 0
+    assert main(["verify", str(out), "--exactly-neighborly", "3"]) == 1
+    assert capsys.readouterr().out == f"FAIL {out} exactly cs-3-neighborly (max_i=2 witness={{1,-2,-3}})\n"
+
+
+def test_cli_non_integer_budget_exits_2(tmp_path, capsys):
+    path = tmp_path / "d36.json"
+    assert main(["build", "delta", "--d", "3", "--n", "6", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["aut", str(path), "--budget", "x"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --budget: invalid int value: 'x'" in err and "Traceback" not in err
 
 
 def test_cli_verify_several_files(tmp_path, capsys):
@@ -446,6 +469,8 @@ def test_cli_verify_sphere_fails_on_ball(tmp_path, capsys):
     ["flips", "--k", "2", "--n", "10000000"],
     ["shell", "delta3", "--n", "3000"],
     ["build", "delta-i", "--n", "3000000", "--i-set", "3"],
+    # a dimension that build_B would recurse through, one step at a time
+    ["build", "ball", "--d", "2000", "--i", "0", "--n", "2001"],
 ])
 def test_cli_refuses_a_huge_cross_polytope_before_allocating(capsys, argv):
     tracemalloc.start()
@@ -557,8 +582,7 @@ def fuzz_files(tmp_path_factory):
 # Placeholders in CLI_SPEC for the files of the fuzz_files fixture.
 PATH, OUT = "<path>", "<out>"
 SMALL = st.integers(-2, 8).map(str)
-# --n and --k also take sizes that must be refused before anything is built;
-# --d stays small.
+# --n, --k and --d also take sizes that must be refused before anything is built.
 SIZE = st.one_of(SMALL, st.sampled_from(["3000", "10000000", "1000000000"]))
 WORD = st.sampled_from(["3", "3,5", "5,3", "", "x", "-1", "3,x", " "])
 FMT = st.sampled_from(["json", "text", "xml"])
@@ -568,7 +592,7 @@ CLI_SPEC = {
     "build": (
         [st.sampled_from(["cross", "delta", "ball", "lambda", "squeezed", "delta-i", "x"])],
         {"--n": SIZE},
-        {"--d": SMALL, "--i": SMALL, "--k": SIZE, "--i-set": WORD, "--tree-out": OUT,
+        {"--d": SIZE, "--i": SMALL, "--k": SIZE, "--i-set": WORD, "--tree-out": OUT,
          "--out": OUT, "--format": FMT},
     ),
     "verify": ([PATH, PATH], {}, {"--cs": None, "--neighborly": SMALL, "--exactly-neighborly": SMALL,

@@ -20,9 +20,7 @@ from csspheres.flips import FlipPair, fg_pair
 from csspheres.props import (
     NeighborlinessReport,
     StackednessReport,
-    SWitnessFamily,
     cs_neighborliness,
-    enum_S,
     stackedness,
 )
 from csspheres.sew3 import IndexSet
@@ -66,7 +64,6 @@ def _records():
         ComplexFile: (ComplexFile(sphere), ("complex", "space")),
         NeighborlinessReport: (cs_neighborliness(sphere), ("max_i", "exact", "witness")),
         StackednessReport: (stackedness(build_B(3, 1, 6)), ("min_i", "witness_interior_face")),
-        SWitnessFamily: (enum_S(2, 6), ("by_m",)),
         FlipPair: (fg_pair(2, 3), ("f", "g")),
         IndexSet: (IndexSet(12, (3,)), ("n", "indices")),
         ShellingOrder: (is_shelling(build_B(4, 2, 6), shelling_B42(6)), ("facets", "restriction_faces", "failed_at")),

@@ -150,14 +150,21 @@ def test_all_facets_pass_necessary_conditions(k, n):
         assert facet_necessary_check(f), f
 
 
+def test_neighborliness_and_stackedness_refuse_bad_input():
+    with pytest.raises(InvalidParameters, match="ground must consist of positive labels"):
+        cs_neighborliness(build_delta(3, 6), [0, 1])
+    with pytest.raises(InvalidParameters, match="stackedness requires a pure complex"):
+        stackedness(Complex([(1, 2, 3), (4,)], 4))
+
+
 def test_enum_S_examples():
     fam = enum_S(3, 9)
-    assert canon_face((-3, -4, 5, 7, 8, 9)) in fam.by_m[2]
-    assert canon_face((1, 2, 3, 5, 7, 9)) in fam.by_m[3]
-    assert canon_face((1, 2, -6, -7, 8, 9)) in fam.by_m[1]
+    assert canon_face((-3, -4, 5, 7, 8, 9)) in fam[2]
+    assert canon_face((1, 2, 3, 5, 7, 9)) in fam[3]
+    assert canon_face((1, 2, -6, -7, 8, 9)) in fam[1]
     # |S(2k,n)_k| = 2^k C(n-2k+1, k)
     for k, n in [(1, 5), (2, 7), (2, 10), (3, 9), (3, 12)]:
-        got = len(enum_S(k, n).by_m[k])
+        got = len(enum_S(k, n)[k])
         assert got == 2**k * math.comb(n - 2 * k + 1, k), (k, n)
     with pytest.raises(InvalidParameters):
         enum_S(2, 3)
@@ -167,19 +174,19 @@ def test_enum_S_matches_its_definition_at_every_m():
     for k in range(1, 4):
         for n in range(2 * k, 14):
             fam = enum_S(k, n)
-            assert sorted(fam.by_m) == list(range(1, k + 1)), (k, n)
+            assert sorted(fam) == list(range(1, k + 1)), (k, n)
             for m in range(1, k + 1):
-                assert fam.by_m[m] == s_family(k, n, m), (k, n, m)
-                assert len(fam.by_m[m]) == 2**k * math.comb(n - 2 * k + 1, m), (k, n, m)
+                assert fam[m] == s_family(k, n, m), (k, n, m)
+                assert len(fam[m]) == 2**k * math.comb(n - 2 * k + 1, m), (k, n, m)
 
 
 @pytest.mark.parametrize("k,n", [(1, 5), (1, 8), (2, 6), (2, 9), (3, 8), (3, 11)])
 def test_S_members_are_facets_and_positive_facets_match(k, n):
     delta = build_delta(2 * k - 1, n)
-    fam = enum_S(k, n)
-    assert fam.members <= delta.facets
+    members = frozenset().union(*enum_S(k, n).values())
+    assert members <= delta.facets
     positive_facets = {f for f in delta.facets if min(f) > 0}
-    positive_members = {f for f in fam.members if min(f) > 0}
+    positive_members = {f for f in members if min(f) > 0}
     assert positive_facets == positive_members
     # the restriction to positive vertices is generated by exactly these
     restricted = Complex({tuple(v for v in f if v > 0) for f in delta.facets}, n)

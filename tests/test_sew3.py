@@ -207,8 +207,9 @@ def test_tree_codes_of_a_deep_path_need_no_recursion():
         {1: [2, 2], 2: [1, 1], 3: []},
         {1: [1, 2], 2: [1], 3: [3, 4], 4: [3]},
         {1: [2], 2: [1, 3], 3: [2, 4], 4: [1]},
+        {},
     ],
-    ids=["cycle3", "two_edges", "triangle_and_point", "doubled_edge", "two_loops", "one_sided"],
+    ids=["cycle3", "two_edges", "triangle_and_point", "doubled_edge", "two_loops", "one_sided", "empty"],
 )
 def test_non_trees_are_refused(graph):
     path = {v: [w for w in (v - 1, v + 1) if w in graph] for v in graph}
