@@ -5,13 +5,18 @@ Neighborliness is always measured against a ground set of positive labels
 (default 1..ambient_n; for the edge-link spheres on W_n it is 3..n+2): a
 complex is cs-i-neighborly w.r.t. that ground when every i of the vertices
 ±ground, no two antipodal, span a face.  `cs_neighborliness` checks exactly that, size
-by size, and reports the least antipode-free subset that is not a face.
+by size, and reports the least antipode-free subset that is not a face.  It
+builds no face level: a vertex set is a face iff the AND of the memoised
+per-vertex facet bitsets (`Complex.facet_bits`) over it is nonzero, and the
+subsets of one size are walked depth-first, ANDing the prefix.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, NamedTuple
+import operator
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import Complex, Face, antipode_face, canon_face, face_key
 from .errors import InvalidParameters
@@ -39,12 +44,30 @@ class NeighborlinessReport(NamedTuple):
     witness: Face | None  # least missing (max_i+1)-subset, when one exists
 
 
-def _antipode_free_subsets(ground: tuple[int, ...], size: int):
-    """Antipode-free `size`-subsets of ±ground, canonical and in canonical order."""
-    signed = [s * g for g in ground for s in (1, -1)]
-    for combo in itertools.combinations(signed, size):
-        if len({abs(v) for v in combo}) == size:
-            yield combo
+def _least_missing(bits: Mapping[int, int], ground: tuple[int, ...], size: int) -> Face | None:
+    """The least antipode-free `size`-subset of ±ground, in canonical order,
+    whose vertices' facet bitsets AND to 0, or None.
+
+    The subsets are walked depth-first, pair by pair with +g before -g, ANDing
+    the prefix; once a prefix ANDs to 0 every completion is missing, and the
+    least is the one that takes the positive labels of the next pairs.  The
+    walk starts from -1, the AND of no bitsets, and needs every vertex of
+    ±ground in `bits`.
+    """
+    def walk(start: int, acc: int, prefix: Face) -> Face | None:
+        depth = len(prefix) + 1
+        for p in range(start, len(ground) - size + depth):
+            for v in (ground[p], -ground[p]):
+                here = acc & bits[v]
+                if not here:
+                    return prefix + (v,) + ground[p + 1 : p + 1 + size - depth]
+                if depth < size:
+                    found = walk(p + 1, here, prefix + (v,))
+                    if found is not None:
+                        return found
+        return None
+
+    return walk(0, -1, ())
 
 
 def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> NeighborlinessReport:
@@ -52,12 +75,13 @@ def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> Neighb
 
     `ground` is the set of positive labels of the reference vertex pairs
     (defaults to 1..ambient_n).  For i = 1, 2, ... the antipode-free
-    i-subsets of ±ground are looked up, in canonical order, in the memoised
-    i-faces of `c`; the first one missing is the witness and max_i = i - 1.
-    When none is missing at any size, max_i = |ground| and `exact` is False.
-    Level 1 walks an increasing range lazily and stops at the first label
-    with no vertex, so the ground is materialised only once every label has
-    both its vertices, that is when it has at most |vertices|/2 labels.
+    i-subsets of ±ground are tested, in canonical order, against the
+    per-vertex facet bitsets of `c`; the first one missing is the witness and
+    max_i = i - 1.  When none is missing at any size, max_i = |ground| and
+    `exact` is False.  Level 1 walks an increasing range lazily and stops at
+    the first label with no vertex, so the ground is materialised only once
+    every label has both its vertices, that is when it has at most
+    |vertices|/2 labels.
     """
     if ground is None:
         ground = range(1, c.ambient_n + 1)
@@ -65,14 +89,13 @@ def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> Neighb
         ground = sorted(set(ground))
     if ground and ground[0] <= 0:
         raise InvalidParameters("ground must consist of positive labels")
-    vertices = c.faces_of_card(1)
-    witness = next(((v,) for g in ground for v in (g, -g) if (v,) not in vertices), None)
+    bits = c.facet_bits()
+    witness = next(((v,) for g in ground for v in (g, -g) if v not in bits), None)
     if witness is not None:
         return NeighborlinessReport(max_i=0, exact=True, witness=witness)
     ground = tuple(ground)
     for i in range(2, len(ground) + 1):
-        have = c.faces_of_card(i)
-        witness = next((s for s in _antipode_free_subsets(ground, i) if s not in have), None)
+        witness = _least_missing(bits, ground, i)
         if witness is not None:
             return NeighborlinessReport(max_i=i - 1, exact=True, witness=witness)
     return NeighborlinessReport(max_i=len(ground), exact=False, witness=None)
@@ -162,6 +185,8 @@ def census_at_least(census: dict[Face, int], threshold: int) -> list[Face]:
 
 
 def is_subcomplex(a: Complex, b: Complex) -> bool:
-    """True iff every facet of `a` is a face of `b`, looked up in b's memoised
-    level of faces of its size."""
-    return all(f in b.faces_of_card(len(f)) for f in a.facets)
+    """True iff every facet of `a` is a face of `b`: the AND of b's facet
+    bitsets of its vertices is nonzero."""
+    bits, full = b.facet_bits(), (1 << len(b.facets)) - 1
+    return all(functools.reduce(operator.and_, map(bits.get, f, itertools.repeat(0)), full)
+               for f in a.facets)

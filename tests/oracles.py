@@ -33,23 +33,30 @@ def closure(facets) -> set[tuple[int, ...]]:
     return out
 
 
-def cs_neighborliness(facets, ground) -> tuple[int, tuple[int, ...] | None]:
-    """(max_i, least missing subset) by testing every antipode-free subset.
+def least_missing(faces, ground, size: int) -> tuple[int, ...] | None:
+    """The least antipode-free `size`-subset of ±ground, in the (abs, sign)
+    order, that is not in the set `faces`; None when there is none.
 
-    Each i-subset of the ground with each sign choice is looked up in the
-    full closure, for i = 1, 2, ... until one is missing.
+    Each `size`-subset of the ground with each sign choice is looked up.
     """
+    missing = [
+        face
+        for combo in itertools.combinations(sorted(set(ground)), size)
+        for signs in itertools.product((1, -1), repeat=size)
+        if (face := _face(s * g for s, g in zip(signs, combo))) not in faces
+    ]
+    return min(missing, key=lambda f: [(abs(v), v < 0) for v in f], default=None)
+
+
+def cs_neighborliness(facets, ground) -> tuple[int, tuple[int, ...] | None]:
+    """(max_i, least missing subset) by testing every antipode-free subset
+    against the full closure, for i = 1, 2, ... until one is missing."""
     faces = closure(facets)
     ground = sorted(set(ground))
     for i in range(1, len(ground) + 1):
-        missing = []
-        for combo in itertools.combinations(ground, i):
-            for signs in itertools.product((1, -1), repeat=i):
-                face = _face(s * g for s, g in zip(signs, combo))
-                if face not in faces:
-                    missing.append(face)
-        if missing:
-            return i - 1, min(missing, key=lambda f: [(abs(v), v < 0) for v in f])
+        witness = least_missing(faces, ground, i)
+        if witness is not None:
+            return i - 1, witness
     return len(ground), None
 
 

@@ -87,13 +87,21 @@ def test_criterion_02_neighborliness():
             assert rep.max_i == n, (d, n)  # the cross-polytope boundary
         else:
             assert rep.max_i == (d + 1) // 2, (d, n, rep.max_i)
+    for d, n in [(7, 12), (9, 15)]:
+        delta = build_delta(d, n)
+        rep = cs_neighborliness(delta)
+        assert rep.max_i == (d + 1) // 2 and rep.exact, (d, n, rep)
+        # the witness: max_i + 1 labels of ±1..n, no two antipodal, spanning no face
+        assert len({abs(v) for v in rep.witness}) == len(rep.witness) == rep.max_i + 1, rep
+        assert all(1 <= abs(v) <= n for v in rep.witness), rep
+        assert not delta.has_face(rep.witness), rep
     for k in (1, 2, 3):
         for n in range(2 * k, 11):
             delta = build_delta(2 * k - 1, n)
             assert len(delta.faces_of_card(k)) == 2**k * math.comb(n, k), (k, n)
             # facet count matches the closed form the h-symmetry forces
             assert len(delta.facets) == sphere_facet_count(k, n), (k, n)
-    _report(2, "cs + cs-ceil(d/2)-neighborly for d<=6, n<=10 and (5,<=12)", t0)
+    _report(2, "cs + cs-ceil(d/2)-neighborly for d<=6, n<=10, (5,<=12), (7,12) and (9,15)", t0)
 
 
 def test_criterion_03_ball_suite():

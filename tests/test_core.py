@@ -519,6 +519,25 @@ def test_antichain_reduction_matches_brute_force(faces):
     assert {frozenset(f) for f in Complex(faces, 5).facets} == maximal_faces(faces)
 
 
+@pytest.mark.parametrize(
+    "make, by_bits",
+    [
+        (lambda: build_delta(7, 12), True),  # 24 vertices, 215 040 facet 3-subsets
+        (lambda: build_delta_I(enum_I(12)[3]), True),
+        (lambda: build_gamma(3, 14, (3,)), True),
+        (lambda: build_delta(3, 40), False),  # 80 vertices, 12 160 facet 3-subsets
+    ],
+    ids=["delta7_12", "delta_I", "gamma3_14", "delta3_40"],
+)
+def test_edge_incidence_walks_agree_and_the_cheaper_one_runs(make, by_bits):
+    c = make()
+    got = c.edge_incidence()
+    assert dict(got) == core._edges_by_triangles(Complex(c.facets, c.ambient_n))
+    assert dict(got) == core._edges_by_bitsets(Complex(c.facets, c.ambient_n))
+    # only the triangle walk leaves the triangle level in the cache
+    assert (("card", 3) in c._cache) is not by_bits
+
+
 def test_labels_beyond_the_ambient_bound_are_refused():
     with pytest.raises(InvalidParameters, match="label 5 exceeds ambient bound 3"):
         Complex([(5,)], 3)
@@ -534,7 +553,10 @@ def test_facet_degree_counts_match_closure_oracle(facets):
     c = Complex(facets, 5)
     tops = maximal_faces(facets)
     links = coface_counts(facets, 2)
-    assert dict(c.edge_incidence()) == {e: (k, sum(1 for f in tops if set(e) <= f)) for e, k in links.items()}
+    want = {e: (k, sum(1 for f in tops if set(e) <= f)) for e, k in links.items()}
+    assert dict(c.edge_incidence()) == want
+    # both triangle walks, whichever edge_incidence picked
+    assert core._edges_by_bitsets(c) == core._edges_by_triangles(c) == want
     if not c.is_pure:
         return
     ridges = coface_counts(facets, c.dim)
@@ -561,7 +583,7 @@ def test_face_membership_matches_closure_oracle(facets_a, facets_b, face):
     assert a.has_face(face) == (sort_face(face) in closure(facets_a))
     assert not a._cache  # has_face keeps nothing
     assert is_subcomplex(a, b) == (closure(facets_a) <= closure(facets_b))
-    assert all(isinstance(key, tuple) and key[0] == "card" for key in b._cache), list(b._cache)
+    assert set(b._cache) <= {"facet_bits"}, list(b._cache)  # is_subcomplex reads b's bitsets only
 
 
 def _reduces_to_zero(row: int, pivots: dict) -> bool:

@@ -14,7 +14,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csspheres
@@ -655,6 +655,13 @@ def test_cli_main_fuzz(fuzz_files):
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_cli_argv(fuzz_files))
+    # a huge --d, refused by n >= d + 1 or, with a larger --n, by the size bounds
+    @example(["build", "ball", "--n", "1000000000", "--d", "1000000000", "--i", "0"])
+    @example(["build", "delta", "--n", "1000000000", "--d", "1000000000"])
+    @example(["build", "lambda", "--n", "1000000000", "--d", "1000000000"])
+    @example(["build", "ball", "--n", "1000000000", "--d", "10000000", "--i", "0"])
+    @example(["build", "delta", "--n", "1000000000", "--d", "10000000"])
+    @example(["build", "lambda", "--n", "1000000000", "--d", "10000000"])
     def run(argv):
         out, err = io.StringIO(), io.StringIO()
         tracemalloc.start()

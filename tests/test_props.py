@@ -4,9 +4,10 @@ conditions, guaranteed-facet families, and edge-link censuses."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csspheres.builders import (
@@ -19,6 +20,7 @@ from csspheres.core import Complex, canon_face, simplex, topology_report
 from csspheres.errors import InvalidParameters
 from csspheres.flips import build_gamma
 from csspheres.props import (
+    _least_missing,
     census_at_least,
     cs_neighborliness,
     edge_link_census,
@@ -29,7 +31,14 @@ from csspheres.props import (
     stackedness,
 )
 
-from oracles import coface_counts, cs_neighborliness as neighborliness_oracle, delta3_facets, s_family
+from oracles import (
+    closure,
+    coface_counts,
+    cs_neighborliness as neighborliness_oracle,
+    delta3_facets,
+    least_missing,
+    s_family,
+)
 
 
 def test_is_cs():
@@ -110,14 +119,70 @@ random_complexes = st.tuples(
     st.lists(st.sampled_from(CROSS4), unique=True),
     st.lists(st.sets(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]), max_size=5).map(tuple), max_size=4),
 ).map(lambda parts: Complex(parts[0] + parts[1], 4))
+# a random set of facets of the cs-3-neighborly Δ(5,8), or all but a few,
+# plus a few random faces; with a ground of up to 9 labels a level up to 4
+# can be the first incomplete one, and the label 9 has no vertex
+DELTA58 = sorted(build_delta(5, 8).facets)
+delta58_subcomplexes = st.tuples(
+    st.one_of(
+        st.lists(st.sampled_from(DELTA58), unique=True),
+        st.lists(st.sampled_from(DELTA58), unique=True, max_size=6).map(
+            lambda drop: [f for f in DELTA58 if f not in drop]),
+    ),
+    st.lists(st.sets(st.sampled_from([s * g for g in range(1, 9) for s in (1, -1)]), max_size=7).map(tuple),
+             max_size=3),
+).map(lambda parts: Complex(parts[0] + parts[1], 8))
+# any ground within 1..9, or most of 1..8 with or without the label 9
+grounds = st.one_of(
+    st.sets(st.integers(1, 9), max_size=9),
+    st.tuples(st.sets(st.integers(1, 8), max_size=3), st.booleans()).map(
+        lambda parts: set(range(1, 9)) - parts[0] | ({9} if parts[1] else set())),
+)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(random_complexes, st.sets(st.integers(1, 5), max_size=5))
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.one_of(random_complexes, delta58_subcomplexes),
+       st.one_of(st.sets(st.integers(1, 5), max_size=5), grounds))
+@example(Complex([[]], 8), {1, 2})  # {∅}: no vertex
+@example(Complex([], 8), {1})  # the void complex
+@example(Complex([], 8), set())  # an empty ground
+@example(Complex(DELTA58, 8), set(range(1, 10)))  # 9 > ambient_n
+@example(Complex(DELTA58, 8), set(range(1, 9)))
+@example(build_lambda(3, 8), set(range(3, 11)))  # the W ground
 def test_cs_neighborliness_matches_oracle_on_random_complexes(c, ground):
     rep = cs_neighborliness(c, ground)
     assert (rep.max_i, rep.witness) == neighborliness_oracle(c.facets, ground)
     assert rep.exact == (rep.witness is not None)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(delta58_subcomplexes, grounds)
+@example(Complex([(v,) for g in (1, 2, 3) for v in (g, -g)], 3), {1, 2, 3})  # dies at (1, 2)
+def test_least_missing_completes_a_dead_prefix(c, ground):
+    """At every size, past the first incomplete level too, where a prefix
+    shorter than the size already spans no face."""
+    bits, faces = c.facet_bits(), closure(c.facets)
+    ground = tuple(sorted(g for g in ground if g in bits and -g in bits))
+    for size in range(1, len(ground) + 1):
+        assert _least_missing(bits, ground, size) == least_missing(faces, ground, size)
+
+
+def test_cs_neighborliness_reads_only_the_facet_bitsets(monkeypatch):
+    c = Complex(build_delta(7, 12).facets, 12)  # fresh caches
+
+    def no_closure(self, card):
+        raise AssertionError("faces_of_card called")
+
+    monkeypatch.setattr(Complex, "faces_of_card", no_closure)
+    tracemalloc.start()
+    try:
+        rep = cs_neighborliness(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == (4, True, (1, -2, -3, -4, -5))
+    assert not [key for key in c._cache if isinstance(key, tuple) and key[0] == "card"]
+    assert peak < 2**20, peak  # 3.24 MB when the face levels 1..5 were materialised
 
 
 def test_stackedness():
