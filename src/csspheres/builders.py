@@ -23,7 +23,7 @@ import functools
 import itertools
 from math import comb
 
-from .core import Complex, antipode_face, cone, from_walk, h_from_f
+from .core import Complex, antipode_face, from_walk, h_from_f
 from .errors import InvalidParameters
 
 
@@ -44,7 +44,7 @@ def cross_polytope(n: int) -> Complex:
     facets: list[tuple[int, ...]] = [()]
     for i in range(1, n + 1):
         facets = [f + (s * i,) for f in facets for s in (1, -1)]
-    return Complex(facets, n)
+    return Complex._derived(facets, n)  # distinct, one size, and canonical: |label| grows
 
 
 @functools.cache
@@ -99,9 +99,11 @@ def build_B(d: int, i: int, n: int) -> Complex:
         return build_delta(d, n).difference(build_B(d, i - 1, n))
     if d == 1:  # i == 0 here
         return Complex([(-1, n)], n)
-    upper = cone(build_B(d - 1, i, n - 1), n)
-    lower = cone(build_B(d - 1, i - 1, n - 1).antipode(), -n)
-    return Complex(upper.facets | lower.facets, n)
+    # every label below has |v| < n, so appending ±n keeps faces canonical;
+    # the union of the cones is an antichain: one side's facets hold n, the other's -n
+    upper = [f + (n,) for f in build_B(d - 1, i, n - 1).facets]
+    lower = [antipode_face(f) + (-n,) for f in build_B(d - 1, i - 1, n - 1).facets]
+    return Complex._derived(upper + lower, n)
 
 
 def sew(gamma: Complex, ball: Complex) -> Complex:

@@ -18,6 +18,7 @@ object and is safe to call concurrently.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from math import comb
 from types import MappingProxyType
@@ -38,9 +39,10 @@ def vertex_key(v: int) -> tuple[int, bool]:
     return (abs(v), v < 0)
 
 
-def face_key(face: Iterable[int]) -> tuple[tuple[int, bool], ...]:
-    """Sort key for faces: lexicographic in the canonical vertex order."""
-    return tuple(vertex_key(v) for v in face)
+def face_key(face: Iterable[int]) -> tuple[int, ...]:
+    """Sort key for faces: lexicographic in the canonical vertex order, each
+    label v ranked 2|v| + (v < 0), an int in the order of `vertex_key`."""
+    return tuple(2 * abs(v) + (v < 0) for v in face)
 
 
 def sort_face(vertices: Iterable[int]) -> Face:
@@ -144,14 +146,13 @@ class Complex:
 
     @property
     def dim(self) -> int:
-        """Dimension; -1 for the complex {∅} and VOID_DIM for the void complex."""
-        if self.is_void:
-            return VOID_DIM
-        return max(len(f) for f in self.facets) - 1
+        """Dimension; -1 for the complex {∅} and VOID_DIM for the void complex.  Memoised."""
+        return self.memo("dim", lambda c: max(map(len, c.facets), default=VOID_DIM + 1) - 1)
 
     @property
     def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) <= 1
+        """All facets have one size (the void complex too).  Memoised."""
+        return self.memo("pure", lambda c: len(set(map(len, c.facets))) <= 1)
 
     def sorted_facets(self) -> tuple[Face, ...]:
         """Facets in canonical lexicographic order (deterministic output)."""
@@ -461,27 +462,47 @@ def _edges_by_bitsets(c: Complex) -> dict[Face, tuple[int, int]]:
     return edges
 
 
-def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(f-vector, unreduced GF(2) Betti numbers) from one top-down pass.
+class _Index(dict):
+    """Face -> index, each face numbered where it is first looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, face: Face) -> int:
+        self[face] = index = len(self)
+        return index
+
+
+def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """(f-vector, unreduced GF(2) Betti numbers, closed pseudomanifold) from
+    one top-down pass.
 
     The walk takes the facets in canonical order and indexes each lower face
     where it first appears; facets of a smaller size join at their own
-    level.  Only one level of faces is held at a time.  The same loop
+    level.  A level is indexed in the same lazy pass that lists the boundary
+    rows of the level above, so each subface is hashed once per face that
+    contains it and once where it is numbered, and only two levels are held
+    at a time.  The same loop
     reduces the boundary ranks top-down with clearing.  A face that leads a
     pivot row of the boundary above has, since the boundary of a boundary is
     zero, the boundary of the sum of that row's other, lower-indexed faces,
-    so its own row lies in the span of the rows before it and is skipped.
+    so its own row lies in the span of the rows before it and is dropped
+    (its subfaces are still indexed, so the order does not depend on it).
     Each other row is passed as its support, the indices of the face's facets
     in the level below, so an apparent pivot is kept without a bitmask.
+
+    A pure complex is a closed pseudomanifold when every ridge lies in
+    exactly two facets, read off the index counts of the top level; the
+    only ridge of a 0-dimensional complex is ∅, in every point.
     """
     if c.is_void:
-        return (0,), ()
+        return (0,), (), False
     top = c.dim + 1
     by_card: dict[int, list[Face]] = {}
     for f in c.sorted_facets():  # the order only sets fill-in
         by_card.setdefault(len(f), []).append(f)
     counts = [1] + [0] * top
     ranks = [0] * (top + 2)  # ranks[card]: rank of the boundary from card to card - 1
+    closed = top == 1 and len(c.facets) == 2
     level: dict[Face, int] = {}
     cleared: set[int] = set()
     for card in range(top, 0, -1):
@@ -490,12 +511,17 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
         counts[card] = len(level)
         if card == 1:
             break
-        below = dict(zip(dict.fromkeys(_subfaces(level, card - 1)), itertools.count()))
-        cleared = set(gf2_pivots(tuple(map(below.__getitem__, itertools.combinations(f, card - 1)))
-                                 for i, f in enumerate(level) if i not in cleared))
+        below = _Index()
+        ids = map(below.__getitem__, _subfaces(level, card - 1))
+        if card == top and c.is_pure:
+            ids = list(ids)
+            closed = set(Counter(ids).values()) == {2}
+        kept = map(operator.not_, map(cleared.__contains__, itertools.count()))
+        cleared = set(gf2_pivots(itertools.compress(zip(*[iter(ids)] * card), kept)))
         ranks[card] = len(cleared)
         level = below
-    return tuple(counts), tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(1, top + 1))
+    betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(1, top + 1))
+    return tuple(counts), betti, closed
 
 
 def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
@@ -507,15 +533,13 @@ def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
 
 
 def topology_report(c: Complex) -> TopologyReport:
-    """Purity, connectivity (beta_0 = 1), closed-pseudomanifold check (every
-    ridge has facet degree 2), Euler number, GF(2) Betti; the face counts all
-    come from the one memoised face walk."""
-    pure = c.is_pure
-    closed = pure and c.dim >= 0 and all(k == 2 for k in c._facet_degrees(c.dim).values())
-    betti = z2_betti_numbers(c)
-    euler = sum((-1) ** i * fi for i, fi in enumerate(c.f_counts()[1:]))
+    """Purity, connectivity (beta_0 = 1), closed-pseudomanifold check (pure,
+    every ridge has facet degree 2), Euler number, GF(2) Betti; all but
+    purity are read off the one memoised face walk."""
+    f, betti, closed = c.memo("walk", _face_walk)
+    euler = sum((-1) ** i * fi for i, fi in enumerate(f[1:]))
     return TopologyReport(
-        pure=pure,
+        pure=c.is_pure,
         connected=not betti or betti[0] == 1,
         closed_pseudomanifold=closed,
         euler=euler,

@@ -8,7 +8,9 @@ complex is cs-i-neighborly w.r.t. that ground when every i of the vertices
 by size, and reports the least antipode-free subset that is not a face.  It
 builds no face level: a vertex set is a face iff the AND of the memoised
 per-vertex facet bitsets (`Complex.facet_bits`) over it is nonzero, and the
-subsets of one size are walked depth-first, ANDing the prefix.
+subsets of one size are walked depth-first, ANDing the prefix.  `stackedness`
+walks a ball's vertex sets the same way, against the bitsets of the ball
+and of its boundary.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import operator
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import Complex, Face, antipode_face, canon_face, face_key
+from .core import Complex, Face, canon_face, face_key
 from .errors import InvalidParameters
 
 
@@ -27,11 +29,12 @@ def is_cs(c: Complex) -> bool:
 
     Freeness fails exactly when some facet contains an antipodal pair; the
     involution property reduces to the facet set being closed under negation.
+    An antipode-free face is ordered by |v| alone, so its negation, label by
+    label, is canonical as it stands and is looked up without a sort.
     """
-    for f in c.facets:
-        if len({abs(v) for v in f}) != len(f):
-            return False
-        if antipode_face(f) not in c.facets:
+    facets = c.facets
+    for f in facets:
+        if len(set(map(abs, f))) != len(f) or tuple(map(operator.neg, f)) not in facets:
             return False
     return True
 
@@ -108,8 +111,41 @@ class StackednessReport(NamedTuple):
     witness_interior_face: Face | None
 
 
+def _least_interior(b: Complex, rim: Complex, size: int) -> Face | None:
+    """The least face of `b` with `size` vertices, in canonical order, that is
+    not a face of `rim`, or None; every smaller face of `b` must be a face of
+    `rim`, a subcomplex of `b`.
+
+    The vertex sets are walked depth-first in canonical order, ANDing the
+    facet bitsets of both complexes along the prefix.  A proper prefix whose
+    `rim` AND is 0 is not a face of `rim`, so, being smaller, not a face of
+    `b` either, and is pruned; a full set is the answer when its `b` AND is
+    nonzero and its `rim` AND is 0.
+    """
+    verts = b.vertices()
+    bits, rim_bits = b.facet_bits(), rim.facet_bits()
+    rows, rim_rows = [bits[v] for v in verts], [rim_bits.get(v, 0) for v in verts]
+
+    def walk(start: int, acc: int, rim_acc: int, prefix: Face) -> Face | None:
+        depth = len(prefix) + 1
+        for p in range(start, len(verts) - size + depth):
+            here, rim_here = acc & rows[p], rim_acc & rim_rows[p]
+            if depth == size:
+                if here and not rim_here:
+                    return prefix + (verts[p],)
+            elif rim_here:
+                found = walk(p + 1, here, rim_here, prefix + (verts[p],))
+                if found is not None:
+                    return found
+        return None
+
+    return walk(0, -1, -1, ())
+
+
 def stackedness(b: Complex) -> StackednessReport:
-    """Compare skeleta of a ball and its boundary: min_i = d - (least interior dim)."""
+    """min_i = d - (least interior dim): the least face of the ball that is
+    not a face of its boundary, found size by size by `_least_interior` from
+    the memoised facet bitsets, with no face level built."""
     if not b.is_pure:
         raise InvalidParameters("stackedness requires a pure complex")
     if b.dim < 0:
@@ -119,10 +155,10 @@ def stackedness(b: Complex) -> StackednessReport:
         raise InvalidParameters("complex has empty boundary")
     d = b.dim
     for card in range(1, d + 2):  # at d + 1 every facet is interior: the boundary has dim d - 1
-        interior = b.faces_of_card(card) - rim.faces_of_card(card)
-        if interior:
+        witness = _least_interior(b, rim, card)
+        if witness is not None:
             break
-    return StackednessReport(min_i=d - (card - 1), witness_interior_face=min(interior, key=face_key))
+    return StackednessReport(min_i=d - (card - 1), witness_interior_face=witness)
 
 
 def facet_necessary_check(face: Iterable[int]) -> bool:

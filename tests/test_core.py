@@ -72,6 +72,19 @@ def test_canonical_face_order():
         canon_face([2, 2])
 
 
+labels = st.integers(-9, 9).filter(bool)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.lists(labels, max_size=5), min_size=2, max_size=6))
+def test_face_key_orders_faces_as_the_vertex_key_tuples(faces):
+    # prefixes, repeats and equal |v| of both signs included
+    by_rank = sorted(faces, key=face_key)
+    assert by_rank == sorted(faces, key=lambda f: tuple(map(vertex_key, f)))
+    for a, b in itertools.combinations(faces, 2):
+        assert (face_key(a) == face_key(b)) == (a == b)
+
+
 def test_canon_face_checks_labels_before_ordering():
     for bad in ("a", True, 2.0, None):
         with pytest.raises(InvalidParameters, match=repr(bad)):
@@ -548,6 +561,9 @@ def test_labels_beyond_the_ambient_bound_are_refused():
 @example([(1, 2, 3), (1, 2, 4), (1, 2, -3)])  # a ridge in three facets
 @example([(1, 2, 3), (1, 2, 4), (3, 4), (5,)])  # maximal edges and a lone vertex
 @example([()])  # {∅}
+@example([(1,), (-1,)])  # S^0: its one ridge, ∅, lies in both points
+@example([(1,), (2,), (-3,)])  # three points: ∅ lies in three
+@example([(1, 2), (2, 3), (1, 3), (3, 4)])  # ridge degrees 1 and 3 sum to twice the ridge count
 def test_facet_degree_counts_match_closure_oracle(facets):
     # v is a link vertex of the edge e exactly when e ∪ {v} is a face, on impure complexes too
     c = Complex(facets, 5)
@@ -650,11 +666,45 @@ def test_topology_report_then_fh_vectors_walk_the_faces_once(monkeypatch):
     def no_closure(self, card):
         raise AssertionError("faces_of_card called")
 
+    def no_count(self, card):
+        raise AssertionError("_facet_degrees called")
+
     monkeypatch.setattr(Complex, "faces_of_card", no_closure)
+    monkeypatch.setattr(Complex, "_facet_degrees", no_count)  # closedness comes from the walk
     report = topology_report(c)
     assert not [key for key in c._cache if isinstance(key, tuple) and key[0] == "card"]
     assert fh_vectors(c).f == c.f_counts() == f_vector(c.facets)
     assert report.is_sphere() and walks == [c]
+
+
+# a fixed signed relabelling of V_12, odd under negation
+SIGMA_12 = {1: 1, 2: -10, 3: 8, 4: -9, 5: 12, 6: -11, 7: -4, 8: 3, 9: 7, 10: 6, 11: -5, 12: 2}
+
+
+@pytest.mark.parametrize(
+    "relabel, reduced",
+    [(False, [2, 3, 6, 11, 0, 0, 0]), (True, [34, 166, 186, 62, 0, 0, 0])],
+    ids=["canonical", "relabelled"],
+)
+def test_face_walk_fill_in_on_delta_7_12(monkeypatch, relabel, reduced):
+    """The rows that gf2_pivots must reduce, level by level from the top,
+    stay as few as the canonical facet order and first-appearance columns
+    make them: a row is reduced unless it is kept as its support."""
+    c = build_delta(7, 12)
+    if relabel:
+        sigma = {**SIGMA_12, **{-v: -w for v, w in SIGMA_12.items()}}
+        c = c.relabel(sigma.__getitem__, 12)
+    counts = []
+
+    def counting(rows):
+        rows = list(rows)
+        pivots = gf2_pivots(rows)
+        counts.append(len(rows) - sum(type(p) is tuple for p in pivots.values()))
+        return pivots
+
+    monkeypatch.setattr(core, "gf2_pivots", counting)
+    assert z2_betti_numbers(Complex(c.facets, 12)) == (1, 0, 0, 0, 0, 0, 0, 1)
+    assert counts == reduced
 
 
 def test_topology_report_memory_peak_on_delta_7_12():

@@ -20,6 +20,7 @@ from csspheres.core import Complex, canon_face, simplex, topology_report
 from csspheres.errors import InvalidParameters
 from csspheres.flips import build_gamma
 from csspheres.props import (
+    StackednessReport,
     _least_missing,
     census_at_least,
     cs_neighborliness,
@@ -194,6 +195,28 @@ def test_stackedness():
     assert rep.min_i == 2
     with pytest.raises(InvalidParameters, match="complex has empty boundary"):
         stackedness(cross_polytope(3))
+
+
+# a nonempty set of facets of Δ(5,8) short of all of them: a pure 5-complex
+# whose boundary is not empty
+pure_delta58_parts = st.one_of(
+    st.lists(st.sampled_from(DELTA58), unique=True, min_size=1),
+    st.lists(st.sampled_from(DELTA58), unique=True, min_size=1, max_size=6).map(
+        lambda drop: [f for f in DELTA58 if f not in drop]),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(pure_delta58_parts)
+@example([(1, 2, 3, 4)])  # a simplex: its one facet is the least interior face
+@example(sorted(build_B(3, 1, 6).facets))
+def test_stackedness_matches_closure_oracle(facets):
+    c = Complex(facets, 8)
+    faces, d = closure(facets), c.dim
+    rim = [r for r, k in coface_counts(facets, d).items() if k == 1]
+    least = min(faces - closure(rim), key=lambda f: (len(f), [(abs(v), v < 0) for v in f]))
+    assert stackedness(c) == StackednessReport(min_i=d + 1 - len(least), witness_interior_face=least)
+    assert not [key for key in c._cache if isinstance(key, tuple) and key[0] == "card"]
 
 
 def test_facet_necessary_check():
