@@ -16,14 +16,14 @@ _EXPORTS = {
     "builders": ("build_B", "build_delta", "build_lambda", "cross_polytope", "rho_embed", "sew", "squeezed_ball"),
     "core": (
         "Complex", "Face", "FHVectors", "TopologyReport", "canon_face", "cone", "face_key",
-        "facet_ridge_graph", "fh_vectors", "from_walk", "simplex", "topology_report",
+        "facet_ridge_graph", "fh_vectors", "from_walk", "is_cs", "simplex", "topology_report",
         "vertex_key", "z2_betti_numbers",
     ),
     "flips": ("FlipPair", "bistellar_flip", "build_gamma", "fg_pair"),
     "iso": ("automorphisms", "canonical_form", "isomorphic"),
     "props": (
         "cs_neighborliness", "edge_link_census", "enum_S",
-        "facet_necessary_check", "is_cs", "is_subcomplex", "stackedness",
+        "facet_necessary_check", "is_subcomplex", "stackedness",
     ),
     "sew3": ("IndexSet", "build_B_I", "build_T", "build_delta_I", "enum_I", "tree_isomorphic"),
     "shelling": ("ShellingOrder", "is_shelling", "shelling_B42", "symmetric_shelling_delta3"),

@@ -89,9 +89,22 @@ class Complex:
     __slots__ = ("ambient_n", "facets", "_cache")
 
     def __init__(self, facets: Iterable[Iterable[int]], ambient_n: int):
+        self._build(map(canon_face, facets), ambient_n)
+
+    @classmethod
+    def _canonical(cls, faces: Iterable[Face], ambient_n: int) -> "Complex":
+        """`Complex(faces, ambient_n)` for faces that `canon_face` returned:
+        the label checks and the sort are not repeated."""
+        c = object.__new__(cls)
+        c._build(faces, ambient_n)
+        return c
+
+    def _build(self, faces: Iterable[Face], ambient_n: int) -> None:
+        """Check `ambient_n`, then the canonical `faces` against it; keep the
+        maximal faces."""
         if type(ambient_n) is not int or ambient_n < 0:
             raise InvalidParameters(f"ambient_n must be a nonnegative integer, got {ambient_n!r}")
-        canon = {canon_face(f) for f in facets}
+        canon = set(faces)
         for face in canon:
             for v in face:
                 if abs(v) > ambient_n:
@@ -156,7 +169,14 @@ class Complex:
 
     def sorted_facets(self) -> tuple[Face, ...]:
         """Facets in canonical lexicographic order (deterministic output)."""
-        return self.memo("sorted_facets", lambda c: tuple(sorted(c.facets, key=face_key)))
+        def build(c: Complex) -> tuple[Face, ...]:
+            # each vertex as its rank in two base-2^16 digits: strings compare
+            # code point by code point, in the order of `face_key`, and faster
+            # than tuples; one character would cap the rank at sys.maxunicode
+            rank = {v: chr(r >> 16) + chr(r & 0xFFFF) for r, v in enumerate(c.vertices())}
+            return tuple(sorted(c.facets, key=lambda f: "".join(map(rank.__getitem__, f))))
+
+        return self.memo("sorted_facets", build)
 
     def vertices(self) -> tuple[int, ...]:
         return self.memo(
@@ -349,6 +369,27 @@ def from_walk(vertices: list[int], ambient_n: int) -> Complex:
     return Complex(zip(vertices, vertices[1:]), ambient_n)
 
 
+def is_cs(c: Complex) -> bool:
+    """True iff negation is a free involution on the faces of `c`.  Memoised.
+
+    An antipode-free facet is ordered by |v| alone, so its label-wise
+    negation is canonical as it stands; a facet that holds a pair v, -v
+    negates to a tuple that puts -v first, which is no canonical face.  So
+    when the negation of every facet with a positive first label is a facet
+    (one with a negative first label), and the facets with a negative first
+    label are no more, negation maps each kind onto the other and no facet
+    holds an antipodal pair.  The empty facet, of {∅} alone, is its own
+    negation.
+    """
+    def build(c: Complex) -> bool:
+        facets = c.facets
+        positive = [f for f in facets if f and f[0] > 0]
+        return 2 * len(positive) == len(facets) - (() in facets) and all(map(
+            facets.__contains__, map(tuple, map(map, itertools.repeat(operator.neg), positive))))
+
+    return c.memo("cs", build)
+
+
 class FHVectors(NamedTuple):
     """Face counts by dimension and the derived h-vector."""
 
@@ -516,6 +557,8 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
         if card == top and c.is_pure:
             ids = list(ids)
             closed = set(Counter(ids).values()) == {2}
+            if closed:  # the rows sum to 0, so the last one reduces to 0
+                del ids[-card:]
         kept = map(operator.not_, map(cleared.__contains__, itertools.count()))
         cleared = set(gf2_pivots(itertools.compress(zip(*[iter(ids)] * card), kept)))
         ranks[card] = len(cleared)

@@ -10,9 +10,9 @@ for both formats.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .core import Complex, canon_face
+from .core import Complex, Face, canon_face
 from .errors import CsspheresError, ParseError
 
 SPACES = ("V", "W")
@@ -45,13 +45,17 @@ def dumps_text(cf: ComplexFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _complex_file(facets, ambient, dim, space: str) -> ComplexFile:
-    """Validate parsed fields into a ComplexFile; library errors become ParseError."""
+def _complex_file(faces: Iterable[Face], ambient, dim, space: str) -> ComplexFile:
+    """Validate parsed fields into a ComplexFile; library errors become ParseError.
+
+    `faces` yields canonical faces, each canonicalised once by its reader;
+    JSON passes a lazy `canon_face` map, so a bad label raises in here.
+    """
     try:
-        faces = [canon_face(f) for f in facets]
+        faces = list(faces)
         if ambient is None:
             ambient = max((abs(v) for f in faces for v in f), default=0)
-        c = Complex(faces, ambient)
+        c = Complex._canonical(faces, ambient)
         cf = ComplexFile(complex=c, space=space)
     except CsspheresError as exc:
         raise ParseError(str(exc)) from None
@@ -117,7 +121,8 @@ def loads_json(text: str) -> ComplexFile:
     facets = payload["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise ParseError("'facets' must be a list of label lists")
-    return _complex_file(facets, payload.get("ambient_n"), payload.get("dim"), payload.get("space", "V"))
+    return _complex_file(map(canon_face, facets), payload.get("ambient_n"), payload.get("dim"),
+                         payload.get("space", "V"))
 
 
 def dumps(cf: ComplexFile, format: str = "json") -> str:

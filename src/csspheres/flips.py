@@ -9,6 +9,9 @@ their antipodes) simultaneously.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from typing import Iterable, NamedTuple
 
 from .core import Complex, Face, antipode_face, canon_face
@@ -17,9 +20,21 @@ from .builders import build_delta
 
 
 def _flip_edit(c: Complex, a: Face, b: Face) -> tuple[frozenset[Face], set[Face]]:
-    """The star of `a` and the facets replacing it, once the flip is validated."""
-    star = c.star(a).facets
-    if c.has_face(b):
+    """The star of `a` and the facets replacing it, once the flip is validated.
+
+    Both faces are looked up by ANDing the memoised facet bitsets: the facets
+    that contain a face are the set bits of the AND over its vertices.
+    """
+    facets, bits = list(c.facets), c.facet_bits()  # bit j stands for facets[j]
+    every = (1 << len(facets)) - 1
+
+    def containing(face: Face) -> int:
+        return functools.reduce(operator.and_, map(bits.get, face, itertools.repeat(0)), every)
+
+    star = frozenset(itertools.compress(facets, map("1".__eq__, bin(containing(a))[:1:-1])))
+    if not star:
+        raise InvalidParameters(f"face {a} not in complex")
+    if containing(b):
         raise InvalidParameters(f"face {b} already in complex")
     expected = {tuple(v for v in b if v != drop) for drop in b}
     if {tuple(v for v in f if v not in a) for f in star} != expected:
@@ -31,7 +46,7 @@ def _flip_edit(c: Complex, a: Face, b: Face) -> tuple[frozenset[Face], set[Face]
 def bistellar_flip(c: Complex, a: Iterable[int], b: Iterable[int]) -> Complex:
     """Single bistellar flip removing face `a` and introducing face `b`."""
     star, replacement = _flip_edit(c, canon_face(a), canon_face(b))
-    return Complex((c.facets - star) | replacement, c.ambient_n)
+    return Complex._canonical((c.facets - star) | replacement, c.ambient_n)
 
 
 class FlipPair(NamedTuple):

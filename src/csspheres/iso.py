@@ -16,7 +16,9 @@ the first leaf gives an automorphism mapping its path onto the first path;
 the search jumps back to the deepest first-path ancestor, since the
 automorphism maps the abandoned subtree onto one already explored.  A child
 in the orbit of an explored sibling, under the automorphisms found so far
-that fix the path above it, is skipped.  The automorphisms found this way
+that fix the path above it, is skipped.  On a cs complex the antipodal
+map v -> -v, a known automorphism, is among them from the start, so the
+root skips -v once v is explored.  The automorphisms found this way
 generate the whole group.
 
 Isomorphic complexes have equal canonical forms, so `isomorphic` returning
@@ -26,10 +28,12 @@ labellings and checked against the facets before it is returned.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from collections import Counter
 from typing import Iterator, NamedTuple
 
-from .core import Complex, fh_vectors, sort_face
+from .core import Complex, fh_vectors, is_cs, sort_face
 from .errors import SearchBudgetExceeded
 
 VertexMap = dict[int, int]
@@ -70,15 +74,15 @@ def _orbit(seeds: list[int], gens: list[tuple[int, ...]]) -> set[int]:
 def _search(c: Complex, budget: int | None) -> _Canon:
     verts = c.vertices()
     n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    facets = [[pos[v] for v in f] for f in c.facets]
+    pos = dict(zip(verts, itertools.count()))
+    facets = list(map(tuple, map(map, itertools.repeat(pos.__getitem__), c.facets)))
     incidence = c.edge_incidence()
     code = {lab: r for r, lab in enumerate(sorted(set(incidence.values())), 1)}
     labels = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]  # 0: non-edge
     for (u, v), lab in incidence.items():
         labels[pos[u]][pos[v]] = labels[pos[v]][pos[u]] = code[lab]
     first = best = None  # (form, colours, path) of the first and of the least leaf
-    gens: list[tuple[int, ...]] = []
+    gens = [tuple(map(pos.__getitem__, map(operator.neg, verts)))] if is_cs(c) else []
     nodes = 0
 
     def visit(colours: list[int], path: list[int]) -> int:
@@ -91,7 +95,8 @@ def _search(c: Complex, budget: int | None) -> _Canon:
         for i, col in enumerate(colours):
             cells.setdefault(col, []).append(i)
         if len(cells) == n:
-            leaf = (tuple(sorted(tuple(sorted(colours[i] for i in f)) for f in facets)), colours, path)
+            form = map(tuple, map(sorted, map(map, itertools.repeat(colours.__getitem__), facets)))
+            leaf = (tuple(sorted(form)), colours, path)
             if first is None:
                 first = best = leaf
             elif leaf[0] == first[0]:

@@ -1,5 +1,7 @@
 """Property predicates: central symmetry, neighborliness, stackedness,
-facet conditions, and edge-link censuses.
+facet conditions, and edge-link censuses.  `is_cs` is defined and memoised
+in core, so that the isomorphism search reads it without importing this
+module.
 
 Neighborliness is always measured against a ground set of positive labels
 (default 1..ambient_n; for the edge-link spheres on W_n it is 3..n+2): a
@@ -20,23 +22,8 @@ import itertools
 import operator
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import Complex, Face, canon_face, face_key
+from .core import Complex, Face, canon_face, face_key, is_cs
 from .errors import InvalidParameters
-
-
-def is_cs(c: Complex) -> bool:
-    """True iff negation is a free involution on the faces of `c`.
-
-    Freeness fails exactly when some facet contains an antipodal pair; the
-    involution property reduces to the facet set being closed under negation.
-    An antipode-free face is ordered by |v| alone, so its negation, label by
-    label, is canonical as it stands and is looked up without a sort.
-    """
-    facets = c.facets
-    for f in facets:
-        if len(set(map(abs, f))) != len(f) or tuple(map(operator.neg, f)) not in facets:
-            return False
-    return True
 
 
 class NeighborlinessReport(NamedTuple):
@@ -47,7 +34,7 @@ class NeighborlinessReport(NamedTuple):
     witness: Face | None  # least missing (max_i+1)-subset, when one exists
 
 
-def _least_missing(bits: Mapping[int, int], ground: tuple[int, ...], size: int) -> Face | None:
+def _least_missing(bits: Mapping[int, int], ground: tuple[int, ...], size: int, cs: bool) -> Face | None:
     """The least antipode-free `size`-subset of ±ground, in canonical order,
     whose vertices' facet bitsets AND to 0, or None.
 
@@ -55,22 +42,26 @@ def _least_missing(bits: Mapping[int, int], ground: tuple[int, ...], size: int) 
     the prefix; once a prefix ANDs to 0 every completion is missing, and the
     least is the one that takes the positive labels of the next pairs.  The
     walk starts from -1, the AND of no bitsets, and needs every vertex of
-    ±ground in `bits`.
+    ±ground in `bits`.  With `cs`, the bitsets are those of a cs complex, in
+    which S is missing iff -S is; -S comes first when S starts with a
+    negative label, so only positive first labels are tried.
     """
-    def walk(start: int, acc: int, prefix: Face) -> Face | None:
+    pairs = [(g, -g) for g in ground]
+
+    def walk(start: int, acc: int, prefix: Face, choices: list[tuple[int, ...]]) -> Face | None:
         depth = len(prefix) + 1
         for p in range(start, len(ground) - size + depth):
-            for v in (ground[p], -ground[p]):
+            for v in choices[p]:
                 here = acc & bits[v]
                 if not here:
                     return prefix + (v,) + ground[p + 1 : p + 1 + size - depth]
                 if depth < size:
-                    found = walk(p + 1, here, prefix + (v,))
+                    found = walk(p + 1, here, prefix + (v,), pairs)
                     if found is not None:
                         return found
         return None
 
-    return walk(0, -1, ())
+    return walk(0, -1, (), [(g,) for g in ground] if cs else pairs)
 
 
 def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> NeighborlinessReport:
@@ -84,7 +75,8 @@ def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> Neighb
     `exact` is False.  Level 1 walks an increasing range lazily and stops at
     the first label with no vertex, so the ground is materialised only once
     every label has both its vertices, that is when it has at most
-    |vertices|/2 labels.
+    |vertices|/2 labels.  On a cs complex (`is_cs`, memoised) the walk
+    tries only positive first labels.
     """
     if ground is None:
         ground = range(1, c.ambient_n + 1)
@@ -96,9 +88,9 @@ def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> Neighb
     witness = next(((v,) for g in ground for v in (g, -g) if v not in bits), None)
     if witness is not None:
         return NeighborlinessReport(max_i=0, exact=True, witness=witness)
-    ground = tuple(ground)
+    ground, cs = tuple(ground), is_cs(c)
     for i in range(2, len(ground) + 1):
-        witness = _least_missing(bits, ground, i)
+        witness = _least_missing(bits, ground, i, cs)
         if witness is not None:
             return NeighborlinessReport(max_i=i - 1, exact=True, witness=witness)
     return NeighborlinessReport(max_i=len(ground), exact=False, witness=None)

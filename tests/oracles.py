@@ -33,6 +33,13 @@ def closure(facets) -> set[tuple[int, ...]]:
     return out
 
 
+def is_cs(facets) -> bool:
+    """Whether v -> -v is a free involution on the faces: the closure is
+    closed under negation and no face holds a vertex with its antipode."""
+    faces = closure(facets)
+    return {_face(-v for v in f) for f in faces} == faces and not any(-v in f for f in faces for v in f)
+
+
 def least_missing(faces, ground, size: int) -> tuple[int, ...] | None:
     """The least antipode-free `size`-subset of ±ground, in the (abs, sign)
     order, that is not in the set `faces`; None when there is none.

@@ -18,10 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csspheres
-from csspheres import builders
+from csspheres import builders, core, fileio
 from csspheres.builders import build_B, build_delta, build_lambda, cross_polytope, squeezed_ball
 from csspheres.cli import build_parser, main
-from csspheres.core import Complex
+from csspheres.core import Complex, canon_face
 from csspheres.errors import ParseError
 from csspheres.fileio import (
     SPACES,
@@ -99,6 +99,21 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 2
+
+
+@pytest.mark.parametrize("format", ["text", "json"])
+def test_loads_canonicalises_each_face_once(format, monkeypatch):
+    cf = ComplexFile(build_delta(3, 7))
+    calls = []
+
+    def counted(face):
+        calls.append(face)
+        return canon_face(face)
+
+    monkeypatch.setattr(core, "canon_face", counted)  # what `Complex(...)` calls
+    monkeypatch.setattr(fileio, "canon_face", counted)
+    assert loads(dumps(cf, format)) == cf
+    assert len(calls) == len(cf.complex.facets)
 
 
 @pytest.mark.parametrize(

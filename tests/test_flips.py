@@ -91,6 +91,18 @@ def test_build_gamma_missing_faces_are_exactly_the_flipped_ones():
         assert gamma.has_face(fg_pair(k, i).f)
 
 
+def test_flip_edits_read_the_facet_bitsets(monkeypatch):
+    def no_scan(self, face):
+        raise AssertionError("facet scan")
+
+    monkeypatch.setattr(Complex, "star", no_scan)
+    monkeypatch.setattr(Complex, "has_face", no_scan)
+    gamma = build_gamma(2, 13, (3, 6))
+    assert len(build_delta(3, 13).facets) - len(gamma.facets) == 4 and is_cs(gamma)
+    with pytest.raises(InvalidParameters, match="already in complex"):
+        bistellar_flip(simplex([1, 2, 3, 4], 4).boundary(), (1,), (2, 3, 4))
+
+
 def test_gamma_neighborliness():
     gamma = build_gamma(3, 13, (3,))
     assert cs_neighborliness(gamma).max_i >= 2

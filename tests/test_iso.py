@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from csspheres import iso
 from csspheres.builders import build_B, build_delta, build_lambda, cross_polytope
-from csspheres.core import Complex, simplex, sort_face
+from csspheres.core import Complex, is_cs, simplex, sort_face
 from csspheres.errors import SearchBudgetExceeded
 from csspheres.flips import build_gamma
 from csspheres.props import edge_link_census
@@ -109,6 +109,42 @@ def test_agrees_with_brute_force_on_small_fixtures():
     assert brute_force_isomorphism(path.facets, 4, twin.facets) is not None
 
 
+SEED_FIXTURES = {
+    "cross2": functools.partial(cross_polytope, 2),
+    "cross3": functools.partial(cross_polytope, 3),
+    "delta1_4": functools.partial(build_delta, 1, 4),
+    "delta2_4": functools.partial(build_delta, 2, 4),
+    "delta3_4": functools.partial(build_delta, 3, 4),
+    # vertex sets closed under negation, facet sets not: v -> -v is no automorphism
+    "path": lambda: Complex([(1, 2), (2, -1), (-1, -2)], 2),
+    "cross3_less_one": lambda: Complex(sorted(cross_polytope(3).facets)[1:], 3),
+    "delta3_4_less_one": lambda: Complex(sorted(build_delta(3, 4).facets)[1:], 4),
+}
+
+
+@pytest.mark.parametrize("name", SEED_FIXTURES)
+def test_antipodal_seed_keeps_forms_groups_and_witnesses(name, monkeypatch):
+    """The search starts from the antipodal map exactly on a cs complex: it
+    finds the form of the unseeded search, the brute-force group and valid
+    witnesses, in fewer nodes; otherwise it is the unseeded search."""
+    c = SEED_FIXTURES[name]()
+    verts = list(c.vertices())
+    image = verts[:]
+    random.Random(name).shuffle(image)
+    twin = c.relabel(dict(zip(verts, image)).__getitem__, c.ambient_n)
+    seeded = iso._search(c, None)
+    slow = brute_force_automorphisms(c.facets, verts)
+    assert {frozenset(m.items()) for m in automorphisms(c)} == {frozenset(m.items()) for m in slow}
+    assert _maps_onto(isomorphic(c, twin), c, twin)
+    monkeypatch.setattr(iso, "is_cs", lambda c: False)
+    unseeded = iso._search(c, None)
+    assert seeded.form == unseeded.form
+    if is_cs(c):
+        assert seeded.nodes < unseeded.nodes
+    else:
+        assert seeded == unseeded
+
+
 def test_every_witness_is_a_real_map():
     lam, d = build_lambda(3, 5), build_delta(3, 5)
     w = isomorphic(lam, d)
@@ -121,7 +157,7 @@ def test_every_witness_is_a_real_map():
 def test_budget():
     d = build_delta(3, 9)
     with pytest.raises(SearchBudgetExceeded):
-        automorphisms(d, budget=2)
+        automorphisms(d, budget=1)
     assert len(automorphisms(d, budget=10**7)) == 2
 
 
@@ -202,7 +238,7 @@ def test_isomorphic_on_cross_polytopes_stays_within_budget():
 
 
 def test_budget_bounds_the_automorphisms_listed():
-    # the tree of cross_polytope(6) has 48 nodes, its group 46 080 elements
+    # the tree of cross_polytope(6) has 42 nodes, its group 46 080 elements
     with pytest.raises(SearchBudgetExceeded):
         automorphisms(cross_polytope(6), budget=100)
     assert len(automorphisms(cross_polytope(3), budget=48)) == 48
@@ -212,9 +248,9 @@ def test_budget_verdict_does_not_depend_on_the_cache():
     c = Complex(build_delta(3, 9).facets, 9)
     assert len(automorphisms(c)) == 2
     with pytest.raises(SearchBudgetExceeded):
-        automorphisms(c, budget=2)
+        automorphisms(c, budget=1)
     with pytest.raises(SearchBudgetExceeded):
-        isomorphic(c, c, budget=2)
+        isomorphic(c, c, budget=1)
 
 
 def test_witness_is_checked_against_the_facets():

@@ -37,6 +37,7 @@ from oracles import (
     coface_counts,
     cs_neighborliness as neighborliness_oracle,
     delta3_facets,
+    is_cs as cs_oracle,
     least_missing,
     s_family,
 )
@@ -49,6 +50,25 @@ def test_is_cs():
     assert is_cs(Complex([], 3)) and is_cs(Complex([[]], 3))
     for d, n in [(2, 5), (3, 6), (4, 6)]:
         assert is_cs(build_delta(d, n))
+
+
+SIGNED4 = [1, -1, 2, -2, 3, -3, 4, -4]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(SIGNED4), max_size=4).map(tuple), max_size=6), st.booleans())
+@example([], False)  # the void complex
+@example([()], False)  # {∅}
+@example([(1, -1)], False)  # a facet that negation fixes
+@example([(1, -1, 2), (1, -1, -2)], False)  # closed under negation, not free
+@example([(1, 2), (-1, -2), (1, -2)], False)  # a symmetric vertex set, not closed
+@example([(1, 2), (2, -1), (-1, -2)], False)  # a path through ±1, ±2
+def test_is_cs_matches_definition_oracle(faces, symmetrise):
+    if symmetrise:
+        faces = faces + [tuple(-v for v in f) for f in faces]
+    c = Complex(faces, 4)
+    assert is_cs(c) == cs_oracle(c.facets)
+    assert c._cache["cs"] == is_cs(c)
 
 
 def test_cs_neighborliness_cross():
@@ -133,6 +153,29 @@ delta58_subcomplexes = st.tuples(
     st.lists(st.sets(st.sampled_from([s * g for g in range(1, 9) for s in (1, -1)]), max_size=7).map(tuple),
              max_size=3),
 ).map(lambda parts: Complex(parts[0] + parts[1], 8))
+
+
+def _symmetric_subcomplex(facets, change, facet) -> Complex:
+    """Facets of the cross-polytope closed under negation, a cs complex; then
+    `facet` dropped or added, when `change` says so, which leaves a complex
+    that is not cs but whose vertex set may still be symmetric.  The
+    positive-first walk of `cs_neighborliness` is sound only in the first
+    case: drop a facet that starts at -1 from the whole cross-polytope, and
+    the least missing subset starts at -1."""
+    faces = set(facets) | {canon_face(-v for v in f) for f in facets}
+    if change == "drop":
+        faces.discard(facet)
+    elif change == "add":
+        faces.add(facet)
+    return Complex(faces, 4)
+
+
+symmetric_subcomplexes = st.builds(
+    _symmetric_subcomplex,
+    st.one_of(st.just(CROSS4), st.lists(st.sampled_from(CROSS4), unique=True, min_size=1)),
+    st.sampled_from(["none", "drop", "add"]),
+    st.sampled_from(CROSS4),
+)
 # any ground within 1..9, or most of 1..8 with or without the label 9
 grounds = st.one_of(
     st.sets(st.integers(1, 9), max_size=9),
@@ -156,6 +199,14 @@ def test_cs_neighborliness_matches_oracle_on_random_complexes(c, ground):
     assert rep.exact == (rep.witness is not None)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(symmetric_subcomplexes, st.one_of(st.just({1, 2, 3, 4}), st.sets(st.integers(1, 4))))
+@example(_symmetric_subcomplex(CROSS4, "drop", (-1, 2, 3, 4)), {1, 2, 3, 4})
+def test_cs_neighborliness_matches_oracle_on_symmetric_vertex_sets(c, ground):
+    rep = cs_neighborliness(c, ground)
+    assert (rep.max_i, rep.witness) == neighborliness_oracle(c.facets, ground)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(delta58_subcomplexes, grounds)
 @example(Complex([(v,) for g in (1, 2, 3) for v in (g, -g)], 3), {1, 2, 3})  # dies at (1, 2)
@@ -165,7 +216,7 @@ def test_least_missing_completes_a_dead_prefix(c, ground):
     bits, faces = c.facet_bits(), closure(c.facets)
     ground = tuple(sorted(g for g in ground if g in bits and -g in bits))
     for size in range(1, len(ground) + 1):
-        assert _least_missing(bits, ground, size) == least_missing(faces, ground, size)
+        assert _least_missing(bits, ground, size, is_cs(c)) == least_missing(faces, ground, size)
 
 
 def test_cs_neighborliness_reads_only_the_facet_bitsets(monkeypatch):
