@@ -17,6 +17,7 @@ object and is safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter
@@ -81,9 +82,9 @@ def _subfaces(faces: Iterable[Face], card: int) -> Iterator[Face]:
 class Complex:
     """A simplicial complex stored as the antichain of its facets.
 
-    Lower faces are materialized on demand; membership of an arbitrary face is
-    decided by a scan for a facet that contains it, or, for many faces, by
-    ANDing the memoised per-vertex facet bitsets.
+    Membership of an arbitrary face is decided by a scan for a facet that
+    contains it, or, for many faces, by ANDing the memoised per-vertex facet
+    bitsets (`star_bits`).
     """
 
     __slots__ = ("ambient_n", "facets", "_cache")
@@ -196,7 +197,7 @@ class Complex:
         """
         def build(c: Complex) -> Mapping[int, int]:
             size = (len(c.facets) + 7) >> 3
-            rows = {v: bytearray(size) for v in {v for f in c.facets for v in f}}
+            rows = {v: bytearray(size) for v in c.vertices()}
             for j, f in enumerate(c.facets):
                 byte, bit = j >> 3, 1 << (j & 7)
                 for v in f:
@@ -205,11 +206,11 @@ class Complex:
 
         return self.memo("facet_bits", build)
 
-    def faces_of_card(self, card: int) -> frozenset[Face]:
-        """All faces with `card` vertices, materialized from the facets."""
-        if card < 0:
-            return frozenset()
-        return self.memo(("card", card), lambda c: frozenset(_subfaces(c.facets, card)))
+    def star_bits(self, face: Iterable[int]) -> int:
+        """Bitset of the facets that contain `face`, read off `facet_bits`:
+        bit j is set iff the j-th facet of `facets` contains it."""
+        bits, every = self.facet_bits(), (1 << len(self.facets)) - 1
+        return functools.reduce(operator.and_, map(bits.get, face, itertools.repeat(0)), every)
 
     def f_counts(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_d); (0,) for the void complex.
@@ -226,10 +227,10 @@ class Complex:
         triangles that contain e; the facet degree is the number of facets
         that contain it.  The triangles are found by whichever of two walks
         does less work: the facet bitsets test every vertex triple once,
-        the triangle level hashes every 3-subset of every facet, and one
+        the triangle count hashes every 3-subset of every facet, and one
         test costs about a quarter of one hash.  Few vertices in large
         facets take the bitsets (Δ(7,12): 24 vertices, 215 040 subsets),
-        many vertices in small facets the level (Δ(3,40): 80 and 12 160).
+        many vertices in small facets the count (Δ(3,40): 80 and 12 160).
         """
         def build(c: Complex) -> Mapping[Face, tuple[int, int]]:
             subsets = sum(map(comb, map(len, c.facets), itertools.repeat(3)))
@@ -283,15 +284,6 @@ class Complex:
             )
         ambient = max(self.ambient_n, other.ambient_n)
         return Complex([f + g for f in self.facets for g in other.facets], ambient)
-
-    def skeleton(self, k: int) -> "Complex":
-        """All faces of dimension at most k."""
-        if k < -1:
-            raise InvalidParameters(f"skeleton dimension must be >= -1, got {k}")
-        if k >= self.dim:
-            return self
-        small = [f for f in self.facets if len(f) <= k + 1]
-        return Complex(list(self.faces_of_card(k + 1)) + small, self.ambient_n)
 
     def difference(self, other: "Complex") -> "Complex":
         """Complex generated by the facets of self that are not facets of other."""
@@ -466,9 +458,9 @@ class TopologyReport(NamedTuple):
 
 
 def _edges_by_triangles(c: Complex) -> dict[Face, tuple[int, int]]:
-    """`Complex.edge_incidence` from the memoised `faces_of_card(3)`: each
-    triangle counts once at each of its edges."""
-    links = Counter(_subfaces(c.faces_of_card(3), 2))
+    """`Complex.edge_incidence` from the set of 3-subsets of the facets, kept
+    only while it is counted: each triangle counts once at each of its edges."""
+    links = Counter(_subfaces(set(_subfaces(c.facets, 3)), 2))
     return {e: (links[e], k) for e, k in c._facet_degrees(2).items()}
 
 

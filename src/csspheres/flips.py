@@ -9,9 +9,7 @@ their antipodes) simultaneously.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from typing import Iterable, NamedTuple
 
 from .core import Complex, Face, antipode_face, canon_face
@@ -22,19 +20,13 @@ from .builders import build_delta
 def _flip_edit(c: Complex, a: Face, b: Face) -> tuple[frozenset[Face], set[Face]]:
     """The star of `a` and the facets replacing it, once the flip is validated.
 
-    Both faces are looked up by ANDing the memoised facet bitsets: the facets
-    that contain a face are the set bits of the AND over its vertices.
+    Both faces are looked up by `Complex.star_bits`, whose bit j stands for
+    the j-th facet of `c.facets`.
     """
-    facets, bits = list(c.facets), c.facet_bits()  # bit j stands for facets[j]
-    every = (1 << len(facets)) - 1
-
-    def containing(face: Face) -> int:
-        return functools.reduce(operator.and_, map(bits.get, face, itertools.repeat(0)), every)
-
-    star = frozenset(itertools.compress(facets, map("1".__eq__, bin(containing(a))[:1:-1])))
+    star = frozenset(itertools.compress(c.facets, map("1".__eq__, bin(c.star_bits(a))[:1:-1])))
     if not star:
         raise InvalidParameters(f"face {a} not in complex")
-    if containing(b):
+    if c.star_bits(b):
         raise InvalidParameters(f"face {b} already in complex")
     expected = {tuple(v for v in b if v != drop) for drop in b}
     if {tuple(v for v in f if v not in a) for f in star} != expected:

@@ -85,8 +85,10 @@ def _search(c: Complex, budget: int | None) -> _Canon:
     gens = [tuple(map(pos.__getitem__, map(operator.neg, verts)))] if is_cs(c) else []
     nodes = 0
 
-    def visit(colours: list[int], path: list[int]) -> int:
-        """Explore the subtree at `path`; return the depth to resume at."""
+    def visit(visit, colours: list[int], path: list[int]) -> int:
+        """Explore the subtree at `path`; return the depth to resume at.  It
+        recurses through its argument `visit`: a closure cell holding it
+        would make a reference cycle, left to the cyclic collector."""
         nonlocal first, best, nodes
         nodes += 1
         if budget is not None and nodes > budget:
@@ -113,12 +115,12 @@ def _search(c: Complex, budget: int | None) -> _Canon:
                 continue
             explored.append(v)
             child = [col + (col > t or (col == t and i != v)) for i, col in enumerate(colours)]
-            back = visit(_refine(child, labels), path + [v])
+            back = visit(visit, _refine(child, labels), path + [v])
             if back < len(path):
                 return back
         return len(path)
 
-    visit(_refine([0] * n, labels), [])
+    visit(visit, _refine([0] * n, labels), [])
     form, colours, _ = best
     return _Canon(form, dict(zip(verts, colours)), tuple(gens), nodes)
 

@@ -17,9 +17,7 @@ and of its boundary.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import Complex, Face, canon_face, face_key, is_cs
@@ -44,11 +42,13 @@ def _least_missing(bits: Mapping[int, int], ground: tuple[int, ...], size: int, 
     walk starts from -1, the AND of no bitsets, and needs every vertex of
     ±ground in `bits`.  With `cs`, the bitsets are those of a cs complex, in
     which S is missing iff -S is; -S comes first when S starts with a
-    negative label, so only positive first labels are tried.
+    negative label, so only positive first labels are tried.  `walk`
+    recurses through its first argument, so that no closure cell refers to
+    it and no reference cycle is left behind.
     """
     pairs = [(g, -g) for g in ground]
 
-    def walk(start: int, acc: int, prefix: Face, choices: list[tuple[int, ...]]) -> Face | None:
+    def walk(walk, start: int, acc: int, prefix: Face, choices: list[tuple[int, ...]]) -> Face | None:
         depth = len(prefix) + 1
         for p in range(start, len(ground) - size + depth):
             for v in choices[p]:
@@ -56,12 +56,12 @@ def _least_missing(bits: Mapping[int, int], ground: tuple[int, ...], size: int, 
                 if not here:
                     return prefix + (v,) + ground[p + 1 : p + 1 + size - depth]
                 if depth < size:
-                    found = walk(p + 1, here, prefix + (v,), pairs)
+                    found = walk(walk, p + 1, here, prefix + (v,), pairs)
                     if found is not None:
                         return found
         return None
 
-    return walk(0, -1, (), [(g,) for g in ground] if cs else pairs)
+    return walk(walk, 0, -1, (), [(g,) for g in ground] if cs else pairs)
 
 
 def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> NeighborlinessReport:
@@ -112,13 +112,14 @@ def _least_interior(b: Complex, rim: Complex, size: int) -> Face | None:
     facet bitsets of both complexes along the prefix.  A proper prefix whose
     `rim` AND is 0 is not a face of `rim`, so, being smaller, not a face of
     `b` either, and is pruned; a full set is the answer when its `b` AND is
-    nonzero and its `rim` AND is 0.
+    nonzero and its `rim` AND is 0.  `walk` recurses through its first
+    argument, as in `_least_missing`.
     """
     verts = b.vertices()
     bits, rim_bits = b.facet_bits(), rim.facet_bits()
     rows, rim_rows = [bits[v] for v in verts], [rim_bits.get(v, 0) for v in verts]
 
-    def walk(start: int, acc: int, rim_acc: int, prefix: Face) -> Face | None:
+    def walk(walk, start: int, acc: int, rim_acc: int, prefix: Face) -> Face | None:
         depth = len(prefix) + 1
         for p in range(start, len(verts) - size + depth):
             here, rim_here = acc & rows[p], rim_acc & rim_rows[p]
@@ -126,12 +127,12 @@ def _least_interior(b: Complex, rim: Complex, size: int) -> Face | None:
                 if here and not rim_here:
                     return prefix + (verts[p],)
             elif rim_here:
-                found = walk(p + 1, here, rim_here, prefix + (verts[p],))
+                found = walk(walk, p + 1, here, rim_here, prefix + (verts[p],))
                 if found is not None:
                     return found
         return None
 
-    return walk(0, -1, -1, ())
+    return walk(walk, 0, -1, -1, ())
 
 
 def stackedness(b: Complex) -> StackednessReport:
@@ -213,8 +214,6 @@ def census_at_least(census: dict[Face, int], threshold: int) -> list[Face]:
 
 
 def is_subcomplex(a: Complex, b: Complex) -> bool:
-    """True iff every facet of `a` is a face of `b`: the AND of b's facet
-    bitsets of its vertices is nonzero."""
-    bits, full = b.facet_bits(), (1 << len(b.facets)) - 1
-    return all(functools.reduce(operator.and_, map(bits.get, f, itertools.repeat(0)), full)
-               for f in a.facets)
+    """True iff every facet of `a` is a face of `b`: some facet of `b`
+    contains it (`Complex.star_bits` is nonzero)."""
+    return all(map(b.star_bits, a.facets))

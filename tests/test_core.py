@@ -1,4 +1,4 @@
-"""Kernel operations: faces, links, joins, skeleta, boundaries, f/h-vectors."""
+"""Kernel operations: faces, links, joins, boundaries, f/h-vectors."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from csspheres.core import (
     facet_ridge_graph,
     fh_vectors,
     from_walk,
+    is_cs,
     simplex,
     sort_face,
     topology_report,
@@ -34,7 +35,13 @@ from csspheres.fileio import ComplexFile
 from csspheres.flips import build_gamma
 from csspheres.gf2 import gf2_pivots
 from csspheres.iso import automorphisms, isomorphic
-from csspheres.props import StackednessReport, edge_link_census, is_subcomplex, stackedness
+from csspheres.props import (
+    StackednessReport,
+    cs_neighborliness,
+    edge_link_census,
+    is_subcomplex,
+    stackedness,
+)
 from csspheres.sew3 import build_delta_I, enum_I
 
 from oracles import closure, coface_counts, connected, f_vector, gf2_rank, h_vector, maximal_faces, pack_rows, z2_betti
@@ -133,7 +140,7 @@ def test_trusted_constructor_outputs_are_canonical(build):
     """Outputs built without re-validation match the validating constructor."""
     c = build()
     v = c.vertices()[0]
-    edge = min(c.faces_of_card(2), key=face_key)
+    edge = min(c.edge_incidence(), key=face_key)
     outputs = [
         c,
         c.link((v,)),
@@ -241,19 +248,6 @@ def test_join_b31_block():
     assert prod.facets <= build_B(3, 1, 5).facets
 
 
-def test_skeleton():
-    c3 = cross_polytope(3)
-    assert c3.skeleton(0).facets == {(v,) for v in [1, -1, 2, -2, 3, -3]}
-    assert c3.skeleton(c3.dim) == c3
-    assert c3.skeleton(5) == c3
-    d58 = build_delta(5, 8)
-    assert d58.skeleton(2) == cross_polytope(8).skeleton(2)
-    mixed = Complex([(1, 2, 3), (4,)], 4)
-    assert mixed.skeleton(1).facets == {(1, 2), (1, 3), (2, 3), (4,)}
-    with pytest.raises(InvalidParameters):
-        c3.skeleton(-2)
-
-
 def test_difference():
     d35 = build_delta(3, 5)
     assert d35.difference(d35).is_void
@@ -286,18 +280,16 @@ def test_boundary():
 
 
 @pytest.mark.parametrize(
-    "c, card0, skeleton, rim, graph, h, ball",
+    "c, rim, graph, h, ball",
     [
-        (Complex([], 0), set(), Complex([], 0), Complex([], 0), {}, (0,), False),
-        (Complex([], 3), set(), Complex([], 3), Complex([], 3), {}, (0,), False),
-        (Complex([()], 3), {()}, Complex([()], 3), Complex([], 3), {(): ()}, (1,), False),
-        (Complex([(1,)], 1), {()}, Complex([()], 1), Complex([()], 1), {(1,): ()}, (1, 0), True),
+        (Complex([], 0), Complex([], 0), {}, (0,), False),
+        (Complex([], 3), Complex([], 3), {}, (0,), False),
+        (Complex([()], 3), Complex([], 3), {(): ()}, (1,), False),
+        (Complex([(1,)], 1), Complex([()], 1), {(1,): ()}, (1, 0), True),
     ],
     ids=["void0", "void3", "empty_face", "point"],
 )
-def test_degenerate_complexes_take_the_general_path(c, card0, skeleton, rim, graph, h, ball):
-    assert c.faces_of_card(0) == card0 and c.faces_of_card(-1) == frozenset()
-    assert c.skeleton(-1) == skeleton and c.skeleton(3) is c
+def test_degenerate_complexes_take_the_general_path(c, rim, graph, h, ball):
     assert c.boundary() == rim
     assert facet_ridge_graph(c) == graph
     assert fh_vectors(c).h == h
@@ -551,13 +543,16 @@ def test_antichain_reduction_matches_brute_force(faces):
     ],
     ids=["delta7_12", "delta_I", "gamma3_14", "delta3_40"],
 )
-def test_edge_incidence_walks_agree_and_the_cheaper_one_runs(make, by_bits):
+def test_edge_incidence_walks_agree_and_the_cheaper_one_runs(monkeypatch, make, by_bits):
     c = make()
-    got = c.edge_incidence()
-    assert dict(got) == core._edges_by_triangles(Complex(c.facets, c.ambient_n))
-    assert dict(got) == core._edges_by_bitsets(Complex(c.facets, c.ambient_n))
-    # only the triangle walk leaves the triangle level in the cache
-    assert (("card", 3) in c._cache) is not by_bits
+    by_triangles = core._edges_by_triangles(Complex(c.facets, c.ambient_n))
+    assert by_triangles == core._edges_by_bitsets(Complex(c.facets, c.ambient_n))
+
+    def not_this_walk(_):
+        raise AssertionError("the costlier edge walk ran")
+
+    monkeypatch.setattr(core, "_edges_by_triangles" if by_bits else "_edges_by_bitsets", not_this_walk)
+    assert dict(Complex(c.facets, c.ambient_n).edge_incidence()) == by_triangles
 
 
 def test_labels_beyond_the_ambient_bound_are_refused():
@@ -608,7 +603,8 @@ def test_face_membership_matches_closure_oracle(facets_a, facets_b, face):
     assert a.has_face(face) == (sort_face(face) in closure(facets_a))
     assert not a._cache  # has_face keeps nothing
     assert is_subcomplex(a, b) == (closure(facets_a) <= closure(facets_b))
-    assert set(b._cache) <= {"facet_bits"}, list(b._cache)  # is_subcomplex reads b's bitsets only
+    # is_subcomplex reads b's bitsets only, whose rows are b's memoised vertices
+    assert set(b._cache) <= {"facet_bits", "vertices"}, list(b._cache)
 
 
 def _reduces_to_zero(row: int, pivots: dict) -> bool:
@@ -672,18 +668,35 @@ def test_topology_report_then_fh_vectors_walk_the_faces_once(monkeypatch):
     real_walk = core._face_walk
     monkeypatch.setattr(core, "_face_walk", lambda x: walks.append(x) or real_walk(x))
 
-    def no_closure(self, card):
-        raise AssertionError("faces_of_card called")
-
     def no_count(self, card):
         raise AssertionError("_facet_degrees called")
 
-    monkeypatch.setattr(Complex, "faces_of_card", no_closure)
     monkeypatch.setattr(Complex, "_facet_degrees", no_count)  # closedness comes from the walk
     report = topology_report(c)
-    assert not [key for key in c._cache if isinstance(key, tuple) and key[0] == "card"]
     assert fh_vectors(c).f == c.f_counts() == f_vector(c.facets)
     assert report.is_sphere() and walks == [c]
+
+
+# every memo key the library uses; a face level kept per size would add more
+MEMO_KEYS = {"dim", "pure", "vertices", "sorted_facets", "facet_bits", "cs", "walk", "edges", "iso.canon"}
+
+
+def test_no_face_level_is_memoised(monkeypatch):
+    keys = set()
+    memo = Complex.memo
+    monkeypatch.setattr(Complex, "memo", lambda c, key, compute: keys.add(key) or memo(c, key, compute))
+    touched = []
+    for d, n in [(3, 40), (7, 12)]:  # the ladder rungs on each side of the edge-walk choice
+        sphere, ball = (Complex(c.facets, n) for c in (build_delta(d, n), build_B(d, (d - 1) // 2, n)))
+        for check in (is_cs, cs_neighborliness, topology_report, fh_vectors, edge_link_census):
+            check(sphere)
+        stackedness(ball)
+        touched += [sphere, ball]
+    a = Complex(build_delta_I(enum_I(12)[3]).facets, 13)
+    b = a.relabel(lambda v: (14 - abs(v)) * (1 if v > 0 else -1), 13)
+    assert isomorphic(a, b) is not None
+    touched += [a, b]
+    assert keys | {key for c in touched for key in c._cache} <= MEMO_KEYS
 
 
 # a fixed signed relabelling of V_12, odd under negation

@@ -4,6 +4,7 @@ cheap necessary conditions that the `iso` command prints first."""
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import random
 
@@ -16,7 +17,7 @@ from csspheres.builders import build_B, build_delta, build_lambda, cross_polytop
 from csspheres.core import Complex, is_cs, simplex, sort_face
 from csspheres.errors import SearchBudgetExceeded
 from csspheres.flips import build_gamma
-from csspheres.props import edge_link_census
+from csspheres.props import cs_neighborliness, edge_link_census, stackedness
 from csspheres.sew3 import build_delta_I, enum_I
 from csspheres.iso import automorphisms, canonical_form, isomorphic, necessary_conditions
 
@@ -318,3 +319,26 @@ def test_canonical_form_where_refinement_splits_nothing(name, seeds):
         relabelled = _shuffled(c, seed)
         assert canonical_form(relabelled) == canonical_form(c), seed
         assert _maps_onto(isomorphic(c, relabelled), c, relabelled), seed
+
+
+@pytest.mark.parametrize(
+    "make, call",
+    [
+        (lambda: build_gamma(3, 14, (3,)), canonical_form),
+        (lambda: build_delta(7, 12), cs_neighborliness),
+        (lambda: build_B(7, 3, 12), stackedness),
+    ],
+    ids=["canonical_form", "cs_neighborliness", "stackedness"],
+)
+def test_recursive_searches_leave_no_reference_cycles(make, call):
+    """A nested function that recursed through its own closure cell would
+    keep its scope alive until the cyclic collector ran."""
+    c = make()
+    c = Complex(c.facets, c.ambient_n)  # fresh caches
+    gc.collect()
+    gc.disable()
+    try:
+        call(c)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

