@@ -23,7 +23,7 @@ import operator
 from collections import Counter
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InvalidParameters
 from .gf2 import gf2_pivots
@@ -79,12 +79,29 @@ def _subfaces(faces: Iterable[Face], card: int) -> Iterator[Face]:
     return itertools.chain.from_iterable(map(itertools.combinations, faces, itertools.repeat(card)))
 
 
+def _vertex_bits(faces: Collection[Face], vertices: Iterable[int]) -> dict[int, int]:
+    """Map each of `vertices`, which hold every vertex of `faces`, to the
+    bitset of the faces that contain it: bit j stands for the j-th face."""
+    size = (len(faces) + 7) >> 3
+    rows = {v: bytearray(size) for v in vertices}
+    for j, f in enumerate(faces):
+        byte, bit = j >> 3, 1 << (j & 7)
+        for v in f:
+            rows[v][byte] |= bit
+    return {v: int.from_bytes(row, "little") for v, row in rows.items()}
+
+
+def _meet(bits: Mapping[int, int], face: Iterable[int], every: int) -> int:
+    """AND of the bitsets of `face`'s vertices (0 for a vertex without one);
+    `every`, the set of all bits, for the empty face."""
+    return functools.reduce(operator.and_, map(bits.get, face, itertools.repeat(0)), every)
+
+
 class Complex:
     """A simplicial complex stored as the antichain of its facets.
 
-    Membership of an arbitrary face is decided by a scan for a facet that
-    contains it, or, for many faces, by ANDing the memoised per-vertex facet
-    bitsets (`star_bits`).
+    The facets that contain a vertex set, and so its membership, are found
+    by ANDing the memoised per-vertex facet bitsets (`star_bits`).
     """
 
     __slots__ = ("ambient_n", "facets", "_cache")
@@ -110,23 +127,20 @@ class Complex:
             for v in face:
                 if abs(v) > ambient_n:
                     raise InvalidParameters(f"label {v} exceeds ambient bound {ambient_n}")
-        # Reduce to an antichain. Distinct faces of one size never nest, so
-        # only faces below the top size are checked, each against the kept
-        # faces through its vertex with the fewest of them.
+        # Reduce to an antichain one size level at a time, from the top down:
+        # a face is kept iff no face kept above contains it, that is iff the
+        # AND of its vertices' bitsets of the kept faces is 0.  Distinct
+        # faces of one size never nest, so each level joins the bitsets at once.
         if len({len(f) for f in canon}) > 1:
-            top = max(map(len, canon))
-            index: dict[int, list[frozenset[int]]] = {}
-            maximal = set()
-            for face in sorted(canon, key=len, reverse=True):
-                fs = frozenset(face)
-                if len(face) < top and (
-                    not face or any(fs <= big for big in min((index.get(v, ()) for v in face), key=len))
-                ):
-                    continue
-                maximal.add(face)
-                for v in face:
-                    index.setdefault(v, []).append(fs)
-            canon = maximal
+            kept: list[Face] = []
+            bits: dict[int, int] = {}
+            for _, group in itertools.groupby(sorted(canon, key=len, reverse=True), len):
+                every = (1 << len(kept)) - 1
+                level = [f for f in group if not _meet(bits, f, every)]
+                for v, row in _vertex_bits(level, {v for f in level for v in f}).items():
+                    bits[v] = bits.get(v, 0) | row << len(kept)
+                kept += level
+            canon = kept
         self._assign(frozenset(canon), ambient_n)
 
     def _assign(self, facets: frozenset[Face], ambient_n: int) -> None:
@@ -185,9 +199,8 @@ class Complex:
         )
 
     def has_face(self, face: Iterable[int]) -> bool:
-        """True iff the given vertex set is contained in some facet (one scan)."""
-        fs = frozenset(canon_face(face))
-        return any(fs.issubset(f) for f in self.facets)
+        """True iff the given vertex set is contained in some facet."""
+        return bool(self.star_bits(canon_face(face)))
 
     def facet_bits(self) -> Mapping[int, int]:
         """Read-only map from each vertex to the bitset of the facets that
@@ -195,22 +208,12 @@ class Complex:
         `facets`.  Memoised.  A vertex set is a face iff the AND of its
         vertices' bitsets is nonzero, the AND of none being every facet.
         """
-        def build(c: Complex) -> Mapping[int, int]:
-            size = (len(c.facets) + 7) >> 3
-            rows = {v: bytearray(size) for v in c.vertices()}
-            for j, f in enumerate(c.facets):
-                byte, bit = j >> 3, 1 << (j & 7)
-                for v in f:
-                    rows[v][byte] |= bit
-            return MappingProxyType({v: int.from_bytes(row, "little") for v, row in rows.items()})
-
-        return self.memo("facet_bits", build)
+        return self.memo("facet_bits", lambda c: MappingProxyType(_vertex_bits(c.facets, c.vertices())))
 
     def star_bits(self, face: Iterable[int]) -> int:
         """Bitset of the facets that contain `face`, read off `facet_bits`:
         bit j is set iff the j-th facet of `facets` contains it."""
-        bits, every = self.facet_bits(), (1 << len(self.facets)) - 1
-        return functools.reduce(operator.and_, map(bits.get, face, itertools.repeat(0)), every)
+        return _meet(self.facet_bits(), face, (1 << len(self.facets)) - 1)
 
     def f_counts(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_d); (0,) for the void complex.
@@ -267,13 +270,13 @@ class Complex:
         )
 
     def star(self, face: Iterable[int]) -> "Complex":
-        """Subcomplex generated by the facets containing `face`."""
+        """Subcomplex generated by the facets containing `face`, read off `star_bits`."""
         face = canon_face(face)
-        fs = frozenset(face)
-        kept = [f for f in self.facets if fs.issubset(f)]
-        if not kept:
+        mask = self.star_bits(face)
+        if not mask:
             raise InvalidParameters(f"face {face} not in complex")
-        return Complex._derived(kept, self.ambient_n)
+        picked = map("1".__eq__, bin(mask)[:1:-1])  # bit j of the mask, j = 0, 1, ...
+        return Complex._derived(itertools.compress(self.facets, picked), self.ambient_n)
 
     def join(self, other: "Complex") -> "Complex":
         """Pairwise unions of facets; vertex sets must be disjoint."""
@@ -431,6 +434,7 @@ class TopologyReport(NamedTuple):
     closed_pseudomanifold: bool
     euler: int
     z2_betti: tuple[int, ...]
+    pseudomanifold: bool
 
     def is_sphere(self) -> bool:
         """Betti/pseudomanifold profile of a d-sphere (d >= 0).
@@ -446,12 +450,10 @@ class TopologyReport(NamedTuple):
         )
 
     def is_ball(self) -> bool:
-        """Betti profile of a d-ball (contractible, not closed)."""
+        """Betti profile of a d-ball on a pseudomanifold (contractible, not closed)."""
         d = len(self.z2_betti) - 1
-        if d < 0:
-            return False
         return (
-            self.pure
+            self.pseudomanifold
             and not self.closed_pseudomanifold
             and self.z2_betti == tuple(1 if i == 0 else 0 for i in range(d + 1))
         )
@@ -505,9 +507,9 @@ class _Index(dict):
         return index
 
 
-def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """(f-vector, unreduced GF(2) Betti numbers, closed pseudomanifold) from
-    one top-down pass.
+def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool, bool]:
+    """(f-vector, unreduced GF(2) Betti numbers, closed pseudomanifold,
+    pseudomanifold) from one top-down pass.
 
     The walk takes the facets in canonical order and indexes each lower face
     where it first appears; facets of a smaller size join at their own
@@ -523,19 +525,19 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
     Each other row is passed as its support, the indices of the face's facets
     in the level below, so an apparent pivot is kept without a bitmask.
 
-    A pure complex is a closed pseudomanifold when every ridge lies in
-    exactly two facets, read off the index counts of the top level; the
-    only ridge of a 0-dimensional complex is ∅, in every point.
+    A pure complex is a pseudomanifold when every ridge lies in at most two
+    facets, closed when in exactly two, read off the index counts of the top
+    level; the only ridge of a 0-dimensional complex is ∅, in every point.
     """
     if c.is_void:
-        return (0,), (), False
+        return (0,), (), False, False
     top = c.dim + 1
     by_card: dict[int, list[Face]] = {}
     for f in c.sorted_facets():  # the order only sets fill-in
         by_card.setdefault(len(f), []).append(f)
     counts = [1] + [0] * top
     ranks = [0] * (top + 2)  # ranks[card]: rank of the boundary from card to card - 1
-    closed = top == 1 and len(c.facets) == 2
+    closed, manifold = top == 1 and len(c.facets) == 2, top == 1 and len(c.facets) <= 2
     level: dict[Face, int] = {}
     cleared: set[int] = set()
     for card in range(top, 0, -1):
@@ -548,7 +550,8 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
         ids = map(below.__getitem__, _subfaces(level, card - 1))
         if card == top and c.is_pure:
             ids = list(ids)
-            closed = set(Counter(ids).values()) == {2}
+            degrees = set(Counter(ids).values())
+            closed, manifold = degrees == {2}, max(degrees) <= 2
             if closed:  # the rows sum to 0, so the last one reduces to 0
                 del ids[-card:]
         kept = map(operator.not_, map(cleared.__contains__, itertools.count()))
@@ -556,7 +559,7 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
         ranks[card] = len(cleared)
         level = below
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(1, top + 1))
-    return tuple(counts), betti, closed
+    return tuple(counts), betti, closed, manifold
 
 
 def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
@@ -569,9 +572,10 @@ def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
 
 def topology_report(c: Complex) -> TopologyReport:
     """Purity, connectivity (beta_0 = 1), closed-pseudomanifold check (pure,
-    every ridge has facet degree 2), Euler number, GF(2) Betti; all but
+    every ridge has facet degree 2), Euler number, GF(2) Betti and
+    pseudomanifold check (pure, no ridge of facet degree above 2); all but
     purity are read off the one memoised face walk."""
-    f, betti, closed = c.memo("walk", _face_walk)
+    f, betti, closed, manifold = c.memo("walk", _face_walk)
     euler = sum((-1) ** i * fi for i, fi in enumerate(f[1:]))
     return TopologyReport(
         pure=c.is_pure,
@@ -579,4 +583,5 @@ def topology_report(c: Complex) -> TopologyReport:
         closed_pseudomanifold=closed,
         euler=euler,
         z2_betti=betti,
+        pseudomanifold=manifold,
     )

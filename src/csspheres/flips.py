@@ -9,7 +9,6 @@ their antipodes) simultaneously.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, NamedTuple
 
 from .core import Complex, Face, antipode_face, canon_face
@@ -18,15 +17,9 @@ from .builders import build_delta
 
 
 def _flip_edit(c: Complex, a: Face, b: Face) -> tuple[frozenset[Face], set[Face]]:
-    """The star of `a` and the facets replacing it, once the flip is validated.
-
-    Both faces are looked up by `Complex.star_bits`, whose bit j stands for
-    the j-th facet of `c.facets`.
-    """
-    star = frozenset(itertools.compress(c.facets, map("1".__eq__, bin(c.star_bits(a))[:1:-1])))
-    if not star:
-        raise InvalidParameters(f"face {a} not in complex")
-    if c.star_bits(b):
+    """The star of `a` and the facets replacing it, once the flip is validated."""
+    star = c.star(a).facets
+    if c.has_face(b):
         raise InvalidParameters(f"face {b} already in complex")
     expected = {tuple(v for v in b if v != drop) for drop in b}
     if {tuple(v for v in f if v not in a) for f in star} != expected:

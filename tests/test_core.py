@@ -6,6 +6,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -191,7 +192,7 @@ def test_link():
         cross_polytope(2).link((1, -1))
 
 
-def test_link_and_star_of_an_absent_face_raise_without_the_vertex_index():
+def test_link_and_star_of_an_absent_face_raise_and_keep_only_the_bitsets():
     c = Complex(build_delta(3, 7).facets, 7)
     for op in (c.link, c.star):
         for face in [(1, -1), (1, 2, 3, 4, 5), (8,)]:
@@ -199,7 +200,7 @@ def test_link_and_star_of_an_absent_face_raise_without_the_vertex_index():
                 op(face)
     assert c.link((1, 2)).facets and c.star((1, 2)).facets
     assert c.link((1, 2, 3, -4)).facets == {()}  # (1, 2, 3, -4) is a facet
-    assert not c._cache
+    assert set(c._cache) == {"facet_bits", "vertices"}, list(c._cache)
     for void in (Complex([], 3), Complex([], 0)):
         for face in [(), (1,)]:
             with pytest.raises(InvalidParameters, match="not in complex"):
@@ -533,6 +534,24 @@ def test_antichain_reduction_matches_brute_force(faces):
     assert {frozenset(f) for f in Complex(faces, 5).facets} == maximal_faces(faces)
 
 
+def test_antichain_reduction_of_half_a_sphere_and_the_other_halfs_ridges():
+    # every other facet of Δ(7,14) in canonical order and the ridges of the
+    # others; a ridge is kept iff no kept facet holds it.  The bound is far
+    # above the bitset reduction and below a reduction that tests each face
+    # against the kept faces one by one.
+    facets = build_delta(7, 14).sorted_facets()
+    kept, rest = facets[::2], facets[1::2]
+    ridges = {r for f in rest for r in itertools.combinations(f, 7)}
+    faces = [*kept, *ridges]
+    assert len(faces) == 30_316
+    start = time.perf_counter()
+    c = Complex(faces, 14)
+    elapsed = time.perf_counter() - start
+    covered = {r for f in kept for r in itertools.combinations(f, 7)}
+    assert c.facets == set(kept) | (ridges - covered)
+    assert elapsed < 1.0, elapsed
+
+
 @pytest.mark.parametrize(
     "make, by_bits",
     [
@@ -563,6 +582,7 @@ def test_labels_beyond_the_ambient_bound_are_refused():
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(small_complexes)
 @example([(1, 2, 3), (1, 2, 4), (1, 2, -3)])  # a ridge in three facets
+@example([(1, 2), (1, 3), (1, 4)])  # the tripod: a contractible non-pseudomanifold
 @example([(1, 2, 3), (1, 2, 4), (3, 4), (5,)])  # maximal edges and a lone vertex
 @example([()])  # {∅}
 @example([(1,), (-1,)])  # S^0: its one ridge, ∅, lies in both points
@@ -578,8 +598,10 @@ def test_facet_degree_counts_match_closure_oracle(facets):
     # both triangle walks, whichever edge_incidence picked
     assert core._edges_by_bitsets(c) == core._edges_by_triangles(c) == want
     if not c.is_pure:
+        assert not topology_report(c).pseudomanifold
         return
     ridges = coface_counts(facets, c.dim)
+    assert topology_report(c).pseudomanifold == (c.dim >= 0 and all(k <= 2 for k in ridges.values()))
     if any(k > 2 for k in ridges.values()):
         with pytest.raises(InvalidParameters, match=r"ridge .* lies in [3-9] facets"):
             c.boundary()
@@ -600,8 +622,19 @@ query_faces = st.sets(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6]
 @example([(1, -1)], [(1, 2)], (6,))  # a label the complex lacks
 def test_face_membership_matches_closure_oracle(facets_a, facets_b, face):
     a, b = Complex(facets_a, 5), Complex(facets_b, 5)
-    assert a.has_face(face) == (sort_face(face) in closure(facets_a))
-    assert not a._cache  # has_face keeps nothing
+    present = sort_face(face) in closure(facets_a)
+    assert a.has_face(face) == present
+    # star and link: the facets containing the face, and a raise iff it is absent
+    star = {t for t in maximal_faces(facets_a) if t >= set(face)}
+    if present:
+        assert {frozenset(f) for f in a.star(face).facets} == star
+        assert {frozenset(f) for f in a.link(face).facets} == {t - set(face) for t in star}
+    else:
+        for op in (a.star, a.link):
+            with pytest.raises(InvalidParameters, match="not in complex"):
+                op(face)
+    # all three read the facet bitsets, whose rows are a's memoised vertices
+    assert set(a._cache) <= {"facet_bits", "vertices"}, list(a._cache)
     assert is_subcomplex(a, b) == (closure(facets_a) <= closure(facets_b))
     # is_subcomplex reads b's bitsets only, whose rows are b's memoised vertices
     assert set(b._cache) <= {"facet_bits", "vertices"}, list(b._cache)

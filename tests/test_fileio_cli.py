@@ -474,6 +474,15 @@ def test_cli_verify_sphere_fails_on_ball(tmp_path, capsys):
     assert main(["verify", str(p), "--ball", "--stacked", "1"]) == 0
 
 
+@pytest.mark.parametrize("text", ["1 2\n1 3\n1 4\n", "1 2 3\n1 2 4\n1 2 5\n"], ids=["tripod", "book"])
+def test_cli_verify_ball_fails_off_a_pseudomanifold(tmp_path, capsys, text):
+    # contractible and pure, but a ridge lies in three facets
+    p = tmp_path / "c.txt"
+    p.write_text(text)
+    assert main(["verify", str(p), "--ball"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL ")
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "cross", "--n", "40"],
     ["build", "delta", "--d", "40", "--n", "41"],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from csspheres.builders import build_delta
+from csspheres.builders import build_delta, cross_polytope
 from csspheres.core import Complex, simplex, topology_report
 from csspheres.errors import InvalidParameters
 from csspheres.flips import bistellar_flip, build_gamma, fg_pair
@@ -95,16 +95,19 @@ def test_build_gamma_missing_faces_are_exactly_the_flipped_ones():
         assert gamma.has_face(fg_pair(k, i).f)
 
 
-def test_flip_edits_read_the_facet_bitsets(monkeypatch):
-    def no_scan(self, face):
-        raise AssertionError("facet scan")
-
-    monkeypatch.setattr(Complex, "star", no_scan)
-    monkeypatch.setattr(Complex, "has_face", no_scan)
+def test_flip_edits_read_the_facet_bitsets():
+    # a flip of the octahedron across the edge (1, 2), whose link is ∂(3, -3);
+    # the edit reads the star and the missing face off the facet bitsets
+    octa = Complex(cross_polytope(3).facets, 3)  # fresh caches
+    out = bistellar_flip(octa, (1, 2), (3, -3))
+    assert out.facets == octa.facets - {(1, 2, 3), (1, 2, -3)} | {(1, 3, -3), (2, 3, -3)}
+    assert set(octa._cache) == {"facet_bits", "vertices"}, list(octa._cache)
+    bd = Complex(simplex([1, 2, 3, 4], 4).boundary().facets, 4)
+    with pytest.raises(InvalidParameters, match="already in complex"):
+        bistellar_flip(bd, (1,), (2, 3, 4))
+    assert set(bd._cache) == {"facet_bits", "vertices"}, list(bd._cache)
     gamma = build_gamma(2, 13, (3, 6))
     assert len(build_delta(3, 13).facets) - len(gamma.facets) == 4 and is_cs(gamma)
-    with pytest.raises(InvalidParameters, match="already in complex"):
-        bistellar_flip(simplex([1, 2, 3, 4], 4).boundary(), (1,), (2, 3, 4))
 
 
 def test_gamma_neighborliness():

@@ -60,7 +60,10 @@ def _records():
     sphere = build_delta(3, 6)
     return {
         FHVectors: (fh_vectors(sphere), ("f", "h")),
-        TopologyReport: (topology_report(sphere), ("pure", "connected", "closed_pseudomanifold", "euler", "z2_betti")),
+        TopologyReport: (
+            topology_report(sphere),
+            ("pure", "connected", "closed_pseudomanifold", "euler", "z2_betti", "pseudomanifold"),
+        ),
         ComplexFile: (ComplexFile(sphere), ("complex", "space")),
         NeighborlinessReport: (cs_neighborliness(sphere), ("max_i", "exact", "witness")),
         StackednessReport: (stackedness(build_B(3, 1, 6)), ("min_i", "witness_interior_face")),

@@ -56,3 +56,14 @@ def test_oracles_import_nothing_from_the_library():
     # construction; the closed forms of built objects must stay independent.
     hits = _imports_of(_nodes([ORACLES]), "csspheres")
     assert hits == [], f"csspheres imported by the oracles: {hits}"
+
+
+def test_only_core_touches_the_complex_cache():
+    # Every other module reads and fills a complex's cache through
+    # `Complex.memo`, the one place that keys it.
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _library_nodes()
+        if path.name != "core.py" and isinstance(node, ast.Attribute) and node.attr == "_cache"
+    ]
+    assert hits == [], f"Complex._cache touched outside core: {hits}"
