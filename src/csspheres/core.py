@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from math import comb
 from types import MappingProxyType
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple
@@ -68,9 +68,12 @@ def canon_face(vertices: Iterable[int]) -> Face:
     return face
 
 
-def antipode_face(face: Iterable[int]) -> Face:
-    """Negate every label of a face and restore canonical order."""
-    return sort_face(-v for v in face)
+def antipode_face(face: Face) -> Face:
+    """Negate every label of a canonical face and restore canonical order: a
+    face without a pair v, -v (neighbours if present) is ordered by |v| alone,
+    so its label-wise negation is canonical as it stands."""
+    negated = tuple(map(operator.neg, face))
+    return sort_face(negated) if any(map(operator.eq, face[1:], negated)) else negated
 
 
 def _subfaces(faces: Iterable[Face], card: int) -> Iterator[Face]:
@@ -97,6 +100,15 @@ def _meet(bits: Mapping[int, int], face: Iterable[int], every: int) -> int:
     return functools.reduce(operator.and_, map(bits.get, face, itertools.repeat(0)), every)
 
 
+def _check_bound(labels: Iterable[int], ambient_n: int) -> None:
+    """Refuse an `ambient_n` that is no nonnegative int, then any label beyond it."""
+    if type(ambient_n) is not int or ambient_n < 0:
+        raise InvalidParameters(f"ambient_n must be a nonnegative integer, got {ambient_n!r}")
+    for v in labels:
+        if abs(v) > ambient_n:
+            raise InvalidParameters(f"label {v} exceeds ambient bound {ambient_n}")
+
+
 class Complex:
     """A simplicial complex stored as the antichain of its facets.
 
@@ -118,15 +130,10 @@ class Complex:
         return c
 
     def _build(self, faces: Iterable[Face], ambient_n: int) -> None:
-        """Check `ambient_n`, then the canonical `faces` against it; keep the
+        """Check `ambient_n` and the canonical `faces` against it; keep the
         maximal faces."""
-        if type(ambient_n) is not int or ambient_n < 0:
-            raise InvalidParameters(f"ambient_n must be a nonnegative integer, got {ambient_n!r}")
         canon = set(faces)
-        for face in canon:
-            for v in face:
-                if abs(v) > ambient_n:
-                    raise InvalidParameters(f"label {v} exceeds ambient bound {ambient_n}")
+        _check_bound(itertools.chain.from_iterable(canon), ambient_n)
         # Reduce to an antichain one size level at a time, from the top down:
         # a face is kept iff no face kept above contains it, that is iff the
         # AND of its vertices' bitsets of the kept faces is 0.  Distinct
@@ -315,8 +322,18 @@ class Complex:
         return Complex._derived([antipode_face(f) for f in self.facets], self.ambient_n)
 
     def relabel(self, mapping: Callable[[int], int], ambient_n: int) -> "Complex":
-        """Apply an injective label map to every vertex."""
-        return Complex([[mapping(v) for v in f] for f in self.facets], ambient_n)
+        """Apply an injective label map to every vertex, calling it once per
+        vertex; it keeps the antichain, so each facet's image is only sorted."""
+        image = {v: mapping(v) for v in self.vertices()}
+        source: dict[int, int] = {}
+        for v, w in image.items():
+            if type(w) is int and source.setdefault(w, v) != v:
+                raise InvalidParameters(f"relabel is not injective: {source[w]} and {v} both map to {w}")
+        order = canon_face(image.values())  # the images are nonzero ints
+        _check_bound(order, ambient_n)
+        rank = dict(zip(order, itertools.count())).__getitem__
+        images = [tuple(sorted(map(image.__getitem__, f), key=rank)) for f in self.facets]
+        return Complex._derived(images, ambient_n)
 
     def with_ambient(self, ambient_n: int) -> "Complex":
         """Same facets inside a different ambient bound."""
@@ -497,37 +514,28 @@ def _edges_by_bitsets(c: Complex) -> dict[Face, tuple[int, int]]:
     return edges
 
 
-class _Index(dict):
-    """Face -> index, each face numbered where it is first looked up."""
-
-    __slots__ = ()
-
-    def __missing__(self, face: Face) -> int:
-        self[face] = index = len(self)
-        return index
-
-
 def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool, bool]:
     """(f-vector, unreduced GF(2) Betti numbers, closed pseudomanifold,
     pseudomanifold) from one top-down pass.
 
-    The walk takes the facets in canonical order and indexes each lower face
+    The walk takes the facets in canonical order and numbers each lower face
     where it first appears; facets of a smaller size join at their own
-    level.  A level is indexed in the same lazy pass that lists the boundary
-    rows of the level above, so each subface is hashed once per face that
-    contains it and once where it is numbered, and only two levels are held
-    at a time.  The same loop
-    reduces the boundary ranks top-down with clearing.  A face that leads a
-    pivot row of the boundary above has, since the boundary of a boundary is
-    zero, the boundary of the sum of that row's other, lower-indexed faces,
-    so its own row lies in the span of the rows before it and is dropped
-    (its subfaces are still indexed, so the order does not depend on it).
-    Each other row is passed as its support, the indices of the face's facets
-    in the level below, so an apparent pivot is kept without a bitmask.
+    level.  A level is numbered in the same lazy pass that lists the
+    boundary rows of the level above, and only two levels are held at a
+    time.  The same loop reduces the boundary ranks top-down with clearing.
+    A face that leads a pivot of the boundary above has, since the boundary
+    of a boundary is zero, the boundary of the sum of that pivot's other,
+    earlier faces; so, by induction, its row lies in the span of the kept
+    rows and is dropped before its subfaces are listed.  Every face below
+    still lies in a kept face: one in none would have a 1 in a cleared row
+    and 0 in every kept row, outside their span.  Each kept row is passed
+    as its support, the indices of its faces in the level below, so an
+    apparent pivot is kept without a bitmask.
 
     A pure complex is a pseudomanifold when every ridge lies in at most two
     facets, closed when in exactly two, read off the index counts of the top
-    level; the only ridge of a 0-dimensional complex is ∅, in every point.
+    level, where nothing is cleared; the only ridge of a 0-dimensional
+    complex is ∅, in every point.
     """
     if c.is_void:
         return (0,), (), False, False
@@ -546,16 +554,16 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool, bool
         counts[card] = len(level)
         if card == 1:
             break
-        below = _Index()
-        ids = map(below.__getitem__, _subfaces(level, card - 1))
+        below = defaultdict(itertools.count().__next__)
+        kept = map(operator.not_, map(cleared.__contains__, itertools.count()))
+        ids = map(below.__getitem__, _subfaces(itertools.compress(level, kept), card - 1))
         if card == top and c.is_pure:
             ids = list(ids)
             degrees = set(Counter(ids).values())
             closed, manifold = degrees == {2}, max(degrees) <= 2
             if closed:  # the rows sum to 0, so the last one reduces to 0
                 del ids[-card:]
-        kept = map(operator.not_, map(cleared.__contains__, itertools.count()))
-        cleared = set(gf2_pivots(itertools.compress(zip(*[iter(ids)] * card), kept)))
+        cleared = set(gf2_pivots(zip(*[iter(ids)] * card)))
         ranks[card] = len(cleared)
         level = below
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(1, top + 1))

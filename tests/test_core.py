@@ -150,6 +150,8 @@ def test_trusted_constructor_outputs_are_canonical(build):
         c.star((v,)),
         c.star(edge),
         c.antipode(),
+        c.relabel(lambda v: v + 1 if v > 0 else v - 1, c.ambient_n + 1),
+        c.relabel(lambda v: -v if v % 3 else v, c.ambient_n),
         c.boundary(),
         c.star((v,)).boundary(),
         c.difference(c.star((v,))),
@@ -166,6 +168,27 @@ def test_antipode_roundtrip():
     assert d15.antipode() == d15  # equal facet sets
     b = build_B(3, 1, 6)
     assert b.antipode().antipode() == b
+
+
+@settings(derandomize=True, max_examples=300)
+@given(signed_faces)
+@example([1, -1, 2])  # a pair first
+@example([3, 1, -3])  # a pair last
+@example([2, -5, 4])  # no pair
+def test_antipode_face_is_the_sorted_negation(vertices):
+    face = sort_face(vertices)
+    assert antipode_face(face) == sort_face(-v for v in face)
+
+
+def test_relabel_refuses_a_map_that_is_not_injective():
+    # 1 and 3 share no edge, so no single facet shows the collision
+    square = Complex([(1, 2), (2, 3), (3, 4), (1, 4)], 4)
+    with pytest.raises(InvalidParameters, match="1 and 3 both map to 1"):
+        square.relabel({1: 1, 2: 2, 3: 1, 4: 4}.__getitem__, 4)
+    for image, message in [(0, "nonzero integers"), (2.0, "nonzero integers"),
+                           (5, "exceeds ambient bound 4")]:
+        with pytest.raises(InvalidParameters, match=message):
+            square.relabel({1: 1, 2: 2, 3: 3, 4: image}.__getitem__, 4)
 
 
 def test_has_face():
@@ -527,6 +550,47 @@ def test_face_walk_matches_oracle_on_random_complexes(facets):
     _check_face_walk(Complex(facets, 5))
 
 
+# antipode-free faces on ±{1..5}, each joined by its negation
+cs_complexes = st.lists(
+    st.dictionaries(st.integers(1, 5), st.sampled_from([1, -1]), max_size=5).map(
+        lambda signs: tuple(v * s for v, s in signs.items())),
+    max_size=8,
+).map(lambda faces: faces + [tuple(-v for v in f) for f in faces])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cs_complexes)
+@example(sorted(cross_polytope(4).facets))  # closed cs spheres, where clearing drops the most rows
+@example(sorted(cross_polytope(5).facets))
+@example(sorted(build_delta(3, 5).facets))
+@example(sorted(build_delta(4, 5).facets))
+def test_face_walk_matches_oracle_on_random_cs_complexes(facets):
+    c = Complex(facets, 5)
+    assert is_cs(c)
+    _check_face_walk(c)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_complexes, st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6]),
+                                 min_size=10, max_size=10))
+def test_relabel_maps_each_vertex_once(facets, images):
+    c = Complex(facets, 5)
+    table = dict(zip([1, -1, 2, -2, 3, -3, 4, -4, 5, -5], images))
+    calls = []
+
+    def mapping(v):
+        calls.append(v)
+        return table[v]
+
+    if len({table[v] for v in c.vertices()}) < len(c.vertices()):
+        with pytest.raises(InvalidParameters, match="not injective"):
+            c.relabel(mapping, 6)
+        return
+    # an injective map: the facets of the validating constructor, one call per vertex
+    assert c.relabel(mapping, 6) == Complex([[table[v] for v in f] for f in c.facets], 6)
+    assert sorted(calls) == sorted(c.vertices())
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(small_complexes)
 def test_antichain_reduction_matches_brute_force(faces):
@@ -736,6 +800,12 @@ def test_no_face_level_is_memoised(monkeypatch):
 SIGMA_12 = {1: 1, 2: -10, 3: 8, 4: -9, 5: 12, 6: -11, 7: -4, 8: 3, 9: 7, 10: 6, 11: -5, 12: 2}
 
 
+def _sigma_12(c: Complex) -> Complex:
+    """`c` relabelled by SIGMA_12 and its negation, with fresh caches."""
+    sigma = {**SIGMA_12, **{-v: -w for v, w in SIGMA_12.items()}}
+    return c.relabel(sigma.__getitem__, 12)
+
+
 @pytest.mark.parametrize(
     "relabel, reduced",
     [(False, [1, 3, 6, 11, 0, 0, 0]), (True, [33, 166, 186, 62, 0, 0, 0])],
@@ -747,8 +817,7 @@ def test_face_walk_fill_in_on_delta_7_12(monkeypatch, relabel, reduced):
     make them: a row is reduced unless it is kept as its support."""
     c = build_delta(7, 12)
     if relabel:
-        sigma = {**SIGMA_12, **{-v: -w for v, w in SIGMA_12.items()}}
-        c = c.relabel(sigma.__getitem__, 12)
+        c = _sigma_12(c)
     counts = []
 
     def counting(rows):
@@ -762,16 +831,51 @@ def test_face_walk_fill_in_on_delta_7_12(monkeypatch, relabel, reduced):
     assert counts == reduced
 
 
+@pytest.mark.parametrize("relabel", [False, True], ids=["canonical", "relabelled"])
+def test_face_walk_lists_the_subfaces_of_kept_faces_only(monkeypatch, relabel):
+    """A face that leads a pivot of the boundary above is cleared before its
+    subfaces are listed, and the kept faces still reach every face below."""
+    c = build_delta(7, 12)
+    c = _sigma_12(c) if relabel else Complex(c.facets, 12)
+    handed, listed, leads = [], [], []
+    real_subfaces = core._subfaces
+
+    def recording_subfaces(faces, card):
+        handed.append(list(faces))
+        listed.append(list(real_subfaces(handed[-1], card)))
+        return iter(listed[-1])
+
+    def recording_pivots(rows):
+        pivots = gf2_pivots(rows)
+        leads.append(set(pivots))
+        return pivots
+
+    monkeypatch.setattr(core, "_subfaces", recording_subfaces)
+    monkeypatch.setattr(core, "gf2_pivots", recording_pivots)
+    f = c.f_counts()
+    top = len(f) - 1
+    # a level's faces are numbered in order of first appearance below the level above
+    for above, faces, pivots in zip(listed, handed[1:], leads):
+        order = list(dict.fromkeys(above))
+        cleared = {order[j] for j in pivots}
+        assert cleared.isdisjoint(faces) and cleared | set(faces) == set(order)
+    ranks = {top - i: len(pivots) for i, pivots in enumerate(leads)}  # from card to card - 1
+    total = sum(map(len, listed))
+    assert total == sum(card * (f[card] - ranks.get(card + 1, 0)) for card in range(2, top + 1))
+    assert total == 227_011  # 417 648 when every face of every level was listed
+
+
 def test_topology_report_memory_peak_on_delta_7_12():
-    c = Complex(build_delta(7, 12).facets, 12)  # fresh caches
-    tracemalloc.start()
-    try:
-        report = topology_report(c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.is_sphere()
-    assert peak < 16 * 2**20, peak  # 27.8 MB when every boundary row was a bitmask
+    sphere = build_delta(7, 12)
+    for c in (Complex(sphere.facets, 12), _sigma_12(sphere)):  # fresh caches
+        tracemalloc.start()
+        try:
+            report = topology_report(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.is_sphere()
+        assert peak < 16 * 2**20, peak  # 27.8 MB when every boundary row was a bitmask
 
 
 def test_complex_pickles_and_copies_without_its_memo():
