@@ -6,94 +6,111 @@ module.
 Neighborliness is always measured against a ground set of positive labels
 (default 1..ambient_n; for the edge-link spheres on W_n it is 3..n+2): a
 complex is cs-i-neighborly w.r.t. that ground when every i of the vertices
-±ground, no two antipodal, span a face.  `cs_neighborliness` checks exactly that, size
-by size, and reports the least antipode-free subset that is not a face.  It
-builds no face level: a vertex set is a face iff the AND of the memoised
-per-vertex facet bitsets (`Complex.facet_bits`) over it is nonzero, and the
-subsets of one size are walked depth-first, ANDing the prefix.  `stackedness`
-walks a ball's vertex sets the same way, against the bitsets of the ball
-and of its boundary.
+±ground, no two antipodal, span a face.  `cs_neighborliness` and
+`stackedness` ask the memoised per-vertex facet bitsets
+(`Complex.facet_bits`) one question, which `_least_set` answers by one
+depth-first walk: the least vertex set, smallest first, whose "has" rows AND
+to nonzero and whose "miss" rows AND to 0.  No face level is built.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Complex, Face, canon_face, face_key, is_cs
 from .errors import InvalidParameters
+
+
+def _least_set(options: Sequence[Sequence[tuple]], sizes: Iterable[int],
+               first: Sequence | None = None) -> Face | None:
+    """The least set over `sizes`, smallest size first and then in the order
+    of `options`, that takes one `(vertex, has row, miss row)` choice of
+    `options[p]` at each of some increasing positions p, whose has rows AND
+    to nonzero and whose miss rows AND to 0; or None.  `first`, when given,
+    replaces the choices at the first position taken.
+
+    The sets of one size are walked depth-first, position by position and
+    choice by choice, ANDing both rows along the prefix from -1, the AND of
+    none.  A prefix is pruned only when its has AND is 0, since no completion
+    can then qualify; one whose miss AND is 0 may still be completed.  `walk`
+    recurses through its first argument, so that no closure cell refers to it
+    and no reference cycle is left behind.
+    """
+
+    def walk(walk, start: int, has: int, miss: int, prefix: Face, choices: Sequence) -> Face | None:
+        depth = len(prefix) + 1
+        positions = range(start, len(options) - size + depth)
+        if depth == size:
+            for p in positions:
+                for v, has_row, miss_row in choices[p]:
+                    if has & has_row and not miss & miss_row:
+                        return prefix + (v,)
+            return None
+        for p in positions:
+            for v, has_row, miss_row in choices[p]:
+                has_here = has & has_row
+                if has_here:
+                    found = walk(walk, p + 1, has_here, miss & miss_row, prefix + (v,), options)
+                    if found is not None:
+                        return found
+        return None
+
+    for size in sizes:
+        found = walk(walk, 0, -1, -1, (), first or options)
+        if found is not None:
+            return found
+    return None
 
 
 class NeighborlinessReport(NamedTuple):
     """Largest i such that all antipode-free i-subsets of the ground are faces."""
 
     max_i: int
-    exact: bool
     witness: Face | None  # least missing (max_i+1)-subset, when one exists
 
-
-def _least_missing(bits: Mapping[int, int], ground: tuple[int, ...], size: int, cs: bool) -> Face | None:
-    """The least antipode-free `size`-subset of ±ground, in canonical order,
-    whose vertices' facet bitsets AND to 0, or None.
-
-    The subsets are walked depth-first, pair by pair with +g before -g, ANDing
-    the prefix; once a prefix ANDs to 0 every completion is missing, and the
-    least is the one that takes the positive labels of the next pairs.  The
-    walk starts from -1, the AND of no bitsets, and needs every vertex of
-    ±ground in `bits`.  With `cs`, the bitsets are those of a cs complex, in
-    which S is missing iff -S is; -S comes first when S starts with a
-    negative label, so only positive first labels are tried.  `walk`
-    recurses through its first argument, so that no closure cell refers to
-    it and no reference cycle is left behind.
-    """
-    pairs = [(g, -g) for g in ground]
-
-    def walk(walk, start: int, acc: int, prefix: Face, choices: list[tuple[int, ...]]) -> Face | None:
-        depth = len(prefix) + 1
-        for p in range(start, len(ground) - size + depth):
-            for v in choices[p]:
-                here = acc & bits[v]
-                if not here:
-                    return prefix + (v,) + ground[p + 1 : p + 1 + size - depth]
-                if depth < size:
-                    found = walk(walk, p + 1, here, prefix + (v,), pairs)
-                    if found is not None:
-                        return found
-        return None
-
-    return walk(walk, 0, -1, (), [(g,) for g in ground] if cs else pairs)
+    @property
+    def exact(self) -> bool:
+        """True iff a missing subset bounds max_i; else max_i is the ground's size."""
+        return self.witness is not None
 
 
 def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> NeighborlinessReport:
     """The definition, level by level: the least missing antipode-free subset.
 
     `ground` is the set of positive labels of the reference vertex pairs
-    (defaults to 1..ambient_n).  For i = 1, 2, ... the antipode-free
-    i-subsets of ±ground are tested, in canonical order, against the
-    per-vertex facet bitsets of `c`; the first one missing is the witness and
-    max_i = i - 1.  When none is missing at any size, max_i = |ground| and
-    `exact` is False.  Level 1 walks an increasing range lazily and stops at
-    the first label with no vertex, so the ground is materialised only once
-    every label has both its vertices, that is when it has at most
-    |vertices|/2 labels.  On a cs complex (`is_cs`, memoised) the walk
-    tries only positive first labels.
+    (defaults to 1..ambient_n); a label that is no positive int (bool
+    included) is refused.  The witness is the least antipode-free subset of
+    ±ground, in canonical order, whose facet bitsets AND to 0, and max_i is
+    one less than its size; with none, max_i = |ground| and `exact` is False.
+    Level 1 walks an increasing range lazily and stops at the first label
+    with no vertex, so the ground is materialised only once every label has
+    both its vertices, that is when it has at most |vertices|/2 labels.
+    Larger sets are left to `_least_set`, with -1 as every has row and the
+    facet bitsets as miss rows, +g before -g.  On a cs complex (`is_cs`,
+    memoised) S is missing iff -S is, and -S comes first when S starts with
+    a negative label, so only positive first labels are tried.
     """
     if ground is None:
         ground = range(1, c.ambient_n + 1)
-    if not (isinstance(ground, range) and ground.step > 0):
+    if isinstance(ground, range) and ground.step > 0:
+        labels = ground[:1]  # a range holds ints, and this one starts at its least
+    else:
+        labels = ground = tuple(ground)
+    for g in labels:
+        if type(g) is not int or g <= 0:
+            raise InvalidParameters(f"ground must consist of positive labels, got {g!r}")
+    if labels is ground:
         ground = sorted(set(ground))
-    if ground and ground[0] <= 0:
-        raise InvalidParameters("ground must consist of positive labels")
     bits = c.facet_bits()
     witness = next(((v,) for g in ground for v in (g, -g) if v not in bits), None)
     if witness is not None:
-        return NeighborlinessReport(max_i=0, exact=True, witness=witness)
-    ground, cs = tuple(ground), is_cs(c)
-    for i in range(2, len(ground) + 1):
-        witness = _least_missing(bits, ground, i, cs)
-        if witness is not None:
-            return NeighborlinessReport(max_i=i - 1, exact=True, witness=witness)
-    return NeighborlinessReport(max_i=len(ground), exact=False, witness=None)
+        return NeighborlinessReport(max_i=0, witness=witness)
+    options = [((g, -1, bits[g]), (-g, -1, bits[-g])) for g in ground]
+    first = [pair[:1] for pair in options] if is_cs(c) else None
+    witness = _least_set(options, range(2, len(ground) + 1), first)
+    max_i = len(ground) if witness is None else len(witness) - 1
+    return NeighborlinessReport(max_i=max_i, witness=witness)
 
 
 class StackednessReport(NamedTuple):
@@ -103,42 +120,11 @@ class StackednessReport(NamedTuple):
     witness_interior_face: Face | None
 
 
-def _least_interior(b: Complex, rim: Complex, size: int) -> Face | None:
-    """The least face of `b` with `size` vertices, in canonical order, that is
-    not a face of `rim`, or None; every smaller face of `b` must be a face of
-    `rim`, a subcomplex of `b`.
-
-    The vertex sets are walked depth-first in canonical order, ANDing the
-    facet bitsets of both complexes along the prefix.  A proper prefix whose
-    `rim` AND is 0 is not a face of `rim`, so, being smaller, not a face of
-    `b` either, and is pruned; a full set is the answer when its `b` AND is
-    nonzero and its `rim` AND is 0.  `walk` recurses through its first
-    argument, as in `_least_missing`.
-    """
-    verts = b.vertices()
-    bits, rim_bits = b.facet_bits(), rim.facet_bits()
-    rows, rim_rows = [bits[v] for v in verts], [rim_bits.get(v, 0) for v in verts]
-
-    def walk(walk, start: int, acc: int, rim_acc: int, prefix: Face) -> Face | None:
-        depth = len(prefix) + 1
-        for p in range(start, len(verts) - size + depth):
-            here, rim_here = acc & rows[p], rim_acc & rim_rows[p]
-            if depth == size:
-                if here and not rim_here:
-                    return prefix + (verts[p],)
-            elif rim_here:
-                found = walk(walk, p + 1, here, rim_here, prefix + (verts[p],))
-                if found is not None:
-                    return found
-        return None
-
-    return walk(walk, 0, -1, -1, ())
-
-
 def stackedness(b: Complex) -> StackednessReport:
     """min_i = d - (least interior dim): the least face of the ball that is
-    not a face of its boundary, found size by size by `_least_interior` from
-    the memoised facet bitsets, with no face level built."""
+    not a face of its boundary, found by `_least_set` with the ball's facet
+    bitsets as has rows and the boundary's as miss rows (0 for a vertex off
+    the boundary), with no face level built."""
     if not b.is_pure:
         raise InvalidParameters("stackedness requires a pure complex")
     if b.dim < 0:
@@ -146,12 +132,11 @@ def stackedness(b: Complex) -> StackednessReport:
     rim = b.boundary()
     if rim.is_void:
         raise InvalidParameters("complex has empty boundary")
-    d = b.dim
-    for card in range(1, d + 2):  # at d + 1 every facet is interior: the boundary has dim d - 1
-        witness = _least_interior(b, rim, card)
-        if witness is not None:
-            break
-    return StackednessReport(min_i=d - (card - 1), witness_interior_face=witness)
+    bits, rim_bits = b.facet_bits(), rim.facet_bits()
+    options = [((v, bits[v], rim_bits.get(v, 0)),) for v in b.vertices()]
+    # at d + 1 every facet is interior: the boundary has dim d - 1
+    witness = _least_set(options, range(1, b.dim + 2))
+    return StackednessReport(min_i=b.dim + 1 - len(witness), witness_interior_face=witness)
 
 
 def facet_necessary_check(face: Iterable[int]) -> bool:

@@ -28,11 +28,18 @@ class _IndexSetFields(NamedTuple):
 
 class IndexSet(_IndexSetFields):
     """Sorted subset of [3, n-6]; when it has two or more elements the first
-    gap must exceed one."""
+    gap must exceed one.  `n` and the indices must be ints (bool refused); a
+    list of indices is read as its tuple."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, indices: tuple[int, ...]):
+        if type(n) is not int:
+            raise InvalidParameters(f"n must be an integer, got {n!r}")
+        if type(indices) is list:
+            indices = tuple(indices)
+        if type(indices) is not tuple or any(type(i) is not int for i in indices):
+            raise InvalidParameters(f"indices must be a tuple of integers, got {indices!r}")
         if n < MIN_N:
             raise InvalidParameters(f"index sets need n >= {MIN_N}, got {n}")
         if tuple(sorted(set(indices))) != indices:

@@ -65,7 +65,7 @@ def _records():
             ("pure", "connected", "closed_pseudomanifold", "euler", "z2_betti", "pseudomanifold"),
         ),
         ComplexFile: (ComplexFile(sphere), ("complex", "space")),
-        NeighborlinessReport: (cs_neighborliness(sphere), ("max_i", "exact", "witness")),
+        NeighborlinessReport: (cs_neighborliness(sphere), ("max_i", "witness")),
         StackednessReport: (stackedness(build_B(3, 1, 6)), ("min_i", "witness_interior_face")),
         FlipPair: (fg_pair(2, 3), ("f", "g")),
         IndexSet: (IndexSet(12, (3,)), ("n", "indices")),
@@ -99,6 +99,10 @@ def test_records_keep_defaults_and_validation():
         IndexSet(12, (3,))._replace(indices=(3, 4))
     with pytest.raises(InvalidParameters):
         IndexSet(n=8, indices=())
+    for n, indices in [(12.0, (3,)), (True, (3,)), (12, (3.0,)), (12, (3, True)), (12, 3), (12, "3")]:
+        with pytest.raises(InvalidParameters, match="must be an integer|must be a tuple of integers"):
+            IndexSet(n, indices)
+    assert IndexSet(12, [3, 5]) == IndexSet(12, (3, 5))
     assert repr(IndexSet(12, (3,))) == "IndexSet(n=12, indices=(3,))"
 
 

@@ -21,7 +21,7 @@ from csspheres.errors import InvalidParameters
 from csspheres.flips import build_gamma
 from csspheres.props import (
     StackednessReport,
-    _least_missing,
+    _least_set,
     census_at_least,
     cs_neighborliness,
     edge_link_census,
@@ -212,11 +212,14 @@ def test_cs_neighborliness_matches_oracle_on_symmetric_vertex_sets(c, ground):
 @example(Complex([(v,) for g in (1, 2, 3) for v in (g, -g)], 3), {1, 2, 3})  # dies at (1, 2)
 def test_least_missing_completes_a_dead_prefix(c, ground):
     """At every size, past the first incomplete level too, where a prefix
-    shorter than the size already spans no face."""
+    shorter than the size already spans no face: the walk over the options
+    of `cs_neighborliness` finds the least missing subset."""
     bits, faces = c.facet_bits(), closure(c.facets)
     ground = tuple(sorted(g for g in ground if g in bits and -g in bits))
+    options = [((g, -1, bits[g]), (-g, -1, bits[-g])) for g in ground]
+    first = [pair[:1] for pair in options] if is_cs(c) else None
     for size in range(1, len(ground) + 1):
-        assert _least_missing(bits, ground, size, is_cs(c)) == least_missing(faces, ground, size)
+        assert _least_set(options, [size], first) == least_missing(faces, ground, size)
 
 
 def test_cs_neighborliness_reads_only_the_facet_bitsets():
@@ -227,7 +230,7 @@ def test_cs_neighborliness_reads_only_the_facet_bitsets():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep == (4, True, (1, -2, -3, -4, -5))
+    assert rep == (4, (1, -2, -3, -4, -5))
     assert peak < 2**20, peak  # 3.24 MB when the face levels 1..5 were materialised
 
 
@@ -263,6 +266,25 @@ def test_stackedness_matches_closure_oracle(facets):
     assert stackedness(c) == StackednessReport(min_i=d + 1 - len(least), witness_interior_face=least)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(pure_delta58_parts)
+@example([(1, 2, 3, 4)])
+@example(sorted(build_B(3, 1, 6).facets))
+def test_least_set_finds_the_least_interior_face_at_every_size(facets):
+    """At every size, past the first interior size too, where a prefix of an
+    interior face may itself be interior: the walk over the options of
+    `stackedness` finds the least face of that size off the boundary."""
+    c = Complex(facets, 8)
+    bits, rim_bits = c.facet_bits(), c.boundary().facet_bits()
+    options = [((v, bits[v], rim_bits.get(v, 0)),) for v in c.vertices()]
+    rim = [r for r, k in coface_counts(facets, c.dim).items() if k == 1]
+    interior = closure(facets) - closure(rim)
+    for size in range(1, c.dim + 2):
+        least = min((f for f in interior if len(f) == size), key=lambda f: [(abs(v), v < 0) for v in f],
+                    default=None)
+        assert _least_set(options, [size]) == least, size
+
+
 def test_facet_necessary_check():
     assert facet_necessary_check((1, 2, 5, 6))
     assert not facet_necessary_check((2, 4, 5, 6))  # first gap 2 without |p1|=1
@@ -280,6 +302,16 @@ def test_facet_necessary_check():
 def test_all_facets_pass_necessary_conditions(k, n):
     for f in build_delta(2 * k - 1, n).facets:
         assert facet_necessary_check(f), f
+
+
+@pytest.mark.parametrize(
+    "ground",
+    [[True], [1, True], [2.5], ["3"], [None], [1, "3"], [(1,)], [-2], range(0, 3), range(2, -1, -1)],
+    ids=["True", "1_True", "float", "str", "None", "int_str", "tuple", "negative", "range_from_0", "range_down"],
+)
+def test_cs_neighborliness_refuses_a_ground_label_that_is_no_positive_int(ground):
+    with pytest.raises(InvalidParameters, match="ground must consist of positive labels"):
+        cs_neighborliness(build_delta(3, 6), ground)
 
 
 def test_neighborliness_and_stackedness_refuse_bad_input():

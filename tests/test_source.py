@@ -67,3 +67,46 @@ def test_only_core_touches_the_complex_cache():
         if path.name != "core.py" and isinstance(node, ast.Attribute) and node.attr == "_cache"
     ]
     assert hits == [], f"Complex._cache touched outside core: {hits}"
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _closures_that_name_themselves(nodes) -> list[str]:
+    """`file:line` of each function nested in another that names itself but
+    does not take itself as a parameter."""
+    hits = set()
+    for path, node in nodes:
+        if not isinstance(node, _FUNCTIONS):
+            continue
+        for inner in ast.walk(node):
+            if inner is node or not isinstance(inner, _FUNCTIONS):
+                continue
+            params = {a.arg for a in ast.walk(inner.args) if isinstance(a, ast.arg)}
+            if inner.name not in params and any(
+                isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)
+            ):
+                hits.add(f"{path.name}:{inner.lineno}")
+    return sorted(hits)
+
+
+def test_no_nested_function_recurses_through_its_closure():
+    # A nested function that calls itself by its own name reaches itself
+    # through a closure cell, so every call leaves its scope as cyclic garbage
+    # for the collector; recursive walks take themselves as a parameter,
+    # `walk(walk, ...)`, instead.
+    hits = _closures_that_name_themselves(_library_nodes())
+    assert hits == [], f"nested functions that recurse through their closure: {hits}"
+
+
+def test_closure_check_flags_a_closure_recursive_walk(tmp_path):
+    path = tmp_path / "walks.py"
+    path.write_text(
+        "def outer(xs):\n"
+        "    def cyclic(i):\n"
+        "        return i if i == len(xs) else cyclic(i + 1)\n"
+        "    def acyclic(acyclic, i):\n"
+        "        return i if i == len(xs) else acyclic(acyclic, i + 1)\n"
+        "    return cyclic(0), acyclic(acyclic, 0)\n"
+    )
+    assert _closures_that_name_themselves(_nodes([path])) == ["walks.py:2"]
