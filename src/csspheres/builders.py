@@ -14,7 +14,7 @@ cs-i-neighborly, i-stacked combinatorial d-ball used in its inductive
   replaces ±B(d, ⌈d/2⌉-1, n) with the cones ±(∂B * (n+1)).
 
 ``cross_polytope``, ``build_delta``, ``build_B`` and ``build_lambda`` are
-memoized with ``functools.cache``, which is safe to call from several threads.
+memoized by ``_memoized``, which is safe to call from several threads.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 from math import comb
 
 from .core import Complex, antipode_face, from_walk, h_from_f
-from .errors import InvalidParameters
+from .errors import InvalidParameters, check_int
 
 
 # Largest cross-polytope built: 2^20 facets.  Larger ones, and squeezed
@@ -34,24 +34,42 @@ MAX_CROSS_N = 20
 # 2^22 facets in all; larger requests are refused before anything is built.
 # Delta(d, d+1) alone has 2^(d+1) facets, so build_delta and build_B refuse d >= 22.
 _DELTA_MEMO_BITS = 22
+# Every memo, held here: a caller may rebind ``builders.build_delta`` and the rest.
+_MEMOS: list = []
 
 
-@functools.cache
+def _memoized(f):
+    """`f` memoised by argument type, so that 6.0 and True never find 6 and
+    1; an unhashable argument skips the memo and meets `f`'s own check."""
+    memo = functools.lru_cache(maxsize=None, typed=True)(f)
+    _MEMOS.append(memo)
+
+    def call(*args):
+        try:
+            hash(args)
+        except TypeError:
+            return f(*args)
+        return memo(*args)
+
+    call.cache_info = memo.cache_info
+    return functools.update_wrapper(call, f)
+
+
+@_memoized
 def cross_polytope(n: int) -> Complex:
     """Boundary of the n-dimensional cross-polytope: one sign choice per pair."""
-    if not 1 <= n <= MAX_CROSS_N:
-        raise InvalidParameters(f"cross_polytope needs 1 <= n <= {MAX_CROSS_N}, got {n}")
+    check_int("cross_polytope", "n", n, 1, MAX_CROSS_N)
     facets: list[tuple[int, ...]] = [()]
     for i in range(1, n + 1):
         facets = [f + (s * i,) for f in facets for s in (1, -1)]
     return Complex._derived(facets, n)  # distinct, one size, and canonical: |label| grows
 
 
-@functools.cache
+@_memoized
 def build_delta(d: int, n: int) -> Complex:
     """The cs combinatorial d-sphere on V_n (cs-⌈d/2⌉-neighborly)."""
-    if d < 1 or n < d + 1:
-        raise InvalidParameters(f"build_delta requires d >= 1 and n >= d+1, got d={d}, n={n}")
+    check_int("build_delta", "d", d, 1)
+    check_int("build_delta", "n", n, d + 1)
     _refuse_huge_delta(d, n)
     if d == 1:
         return from_walk(list(range(1, n + 1)) + list(range(-1, -n - 1, -1)) + [1], n)
@@ -84,15 +102,12 @@ def _refuse_huge_delta(d: int, n: int) -> None:
         f"build_delta({d}, {n}) would keep more than 2^{_DELTA_MEMO_BITS} facets in its memo")
 
 
-@functools.cache
+@_memoized
 def build_B(d: int, i: int, n: int) -> Complex:
     """The cs-i-neighborly, i-stacked d-ball B(d, i, n) on V_n; void for i < 0."""
-    if d < 1 or n < d + 1:
-        raise InvalidParameters(f"build_B requires d >= 1 and n >= d+1, got d={d}, n={n}")
-    if d >= _DELTA_MEMO_BITS:  # checked before the recursion, one step per dimension
-        raise InvalidParameters(f"build_B requires d < {_DELTA_MEMO_BITS}, got d={d}")
-    if i > (d + 1) // 2:
-        raise InvalidParameters(f"build_B requires i <= ceil(d/2), got d={d}, i={i}")
+    check_int("build_B", "d", d, 1, _DELTA_MEMO_BITS - 1)  # before the recursion, one step per d
+    check_int("build_B", "n", n, d + 1)
+    check_int("build_B", "i", i, hi=(d + 1) // 2)
     if i < 0:
         return Complex([], n)
     if d % 2 == 1 and i == (d + 1) // 2:
@@ -131,33 +146,27 @@ def sew(gamma: Complex, ball: Complex) -> Complex:
     return Complex._derived(new_facets, v)
 
 
-@functools.cache
+@_memoized
 def build_lambda(d: int, n: int) -> Complex:
     """The cs d-sphere arising as the link of the edge {1,2} in Delta(d+2, n+2).
 
     Lives on W_n = {±3, ..., ±(n+2)}.
     """
-    if d < 1 or n < d + 1:
-        raise InvalidParameters(f"build_lambda requires d >= 1 and n >= d+1, got d={d}, n={n}")
+    check_int("build_lambda", "d", d, 1)
+    check_int("build_lambda", "n", n, d + 1)
     return build_delta(d + 2, n + 2).link((1, 2))
-
-
-# Captured here, not looked up by module name when clearing: a caller may
-# rebind ``builders.build_delta`` and the others to wrappers without
-# ``cache_clear``.
-_MEMOIZED = (cross_polytope, build_delta, build_B, build_lambda)
 
 
 def cache_clear() -> None:
     """Drop all memoized spheres and balls (mainly for tests)."""
-    for f in _MEMOIZED:
-        f.cache_clear()
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def squeezed_facet_family(k: int, n: int) -> list[tuple[int, ...]]:
     """Gale-form facets {i_1, i_1+1, ..., i_k, i_k+1} in [n] with gaps >= 2."""
-    if k < 1 or n < k + 1:
-        raise InvalidParameters(f"squeezed family requires k >= 1 and n >= k+1, got k={k}, n={n}")
+    check_int("squeezed_facet_family", "k", k, 1)
+    check_int("squeezed_facet_family", "n", n, k + 1)
     # i_j = c_j + j maps the k-subsets c of [n-k], in order, onto the
     # starts with gaps >= 2 and i_k <= n-1: C(n-k, k) facets.
     # C(n-k, k) >= C(2m, m) >= 2^m for m = min(k, n-2k), so comb runs on small arguments only

@@ -25,7 +25,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, check_int
 from .gf2 import gf2_pivots
 
 Face = tuple[int, ...]
@@ -102,8 +102,7 @@ def _meet(bits: Mapping[int, int], face: Iterable[int], every: int) -> int:
 
 def _check_bound(labels: Iterable[int], ambient_n: int) -> None:
     """Refuse an `ambient_n` that is no nonnegative int, then any label beyond it."""
-    if type(ambient_n) is not int or ambient_n < 0:
-        raise InvalidParameters(f"ambient_n must be a nonnegative integer, got {ambient_n!r}")
+    check_int("Complex", "ambient_n", ambient_n, 0)
     for v in labels:
         if abs(v) > ambient_n:
             raise InvalidParameters(f"label {v} exceeds ambient bound {ambient_n}")
@@ -367,8 +366,8 @@ def simplex(vertices: Iterable[int], ambient_n: int) -> Complex:
 
 def cone(base: Complex, apex: int) -> Complex:
     """Join of `base` with the single vertex `apex`."""
-    ambient = max(base.ambient_n, abs(apex))
-    return base.join(Complex([(apex,)], ambient))
+    face = canon_face((apex,))  # refuses an apex that is no nonzero int
+    return base.join(Complex._canonical([face], max(base.ambient_n, abs(apex))))
 
 
 def from_walk(vertices: list[int], ambient_n: int) -> Complex:

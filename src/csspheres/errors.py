@@ -2,8 +2,8 @@
 
 * `CsspheresError` is the base class; catch it to handle every rejection.
 * `InvalidParameters`: an input or a parameter is rejected. The message
-  names the rule it broke, e.g. "index sets need n >= 10" or "complex has
-  empty boundary".
+  names the rule it broke, e.g. "enum_I requires n >= 10, got 8" (from
+  `check_int`, the one check of an int parameter) or "complex has empty boundary".
 * `ParseError`: a file could not be read as a complex; `line` holds the line
   number when known.
 * `SearchBudgetExceeded`: an isomorphism or automorphism search stopped at
@@ -35,3 +35,13 @@ class ParseError(CsspheresError, ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def check_int(where: str, name: str, value, lo: int | None = None, hi: int | None = None) -> None:
+    """Raise InvalidParameters unless `value` is an int, not a bool, in [lo, hi] (None: open)."""
+    if type(value) is not int:
+        raise InvalidParameters(f"{where} requires {name} to be an int, got {value!r}")
+    if lo is not None and value < lo:
+        raise InvalidParameters(f"{where} requires {name} >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise InvalidParameters(f"{where} requires {name} <= {hi}, got {value}")

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .core import Complex, Face, antipode_face, canon_face
-from .errors import InvalidParameters
-from .builders import build_delta
+from .errors import InvalidParameters, check_int
+from .builders import _DELTA_MEMO_BITS, build_delta
 
 
 def _flip_edit(c: Complex, a: Face, b: Face) -> tuple[frozenset[Face], set[Face]]:
@@ -42,9 +42,9 @@ class FlipPair(NamedTuple):
 
 
 def fg_pair(k: int, i: int) -> FlipPair:
-    """Arithmetic-progression flip pair at index i; defined for k >= 2."""
-    if k < 2:
-        raise InvalidParameters(f"fg_pair requires k >= 2, got {k}")
+    """Arithmetic-progression flip pair at index i; defined for 2 <= k <= 11 (2k-1 < 22)."""
+    check_int("fg_pair", "k", k, 2, _DELTA_MEMO_BITS // 2)
+    check_int("fg_pair", "i", i)
     f = (i,) + tuple(i + 3 + 4 * j for j in range(k - 1))
     g = (i - 1,) + tuple(i + 1 + 4 * j for j in range(k))
     return FlipPair(f=f, g=g)
@@ -62,17 +62,15 @@ def build_gamma(k: int, n: int, indices: Iterable[int]) -> Complex:
     needs k >= 3 and indices at most n-4k+2, which leaves the last
     admissible flip untouched.
     """
-    if k < 2:
-        raise InvalidParameters(f"build_gamma requires k >= 2, got {k}")
-    indices = sorted(set(indices))
-    lo, hi = 3, n - 4 * k + 3
-    bad = [i for i in indices if not lo <= i <= hi]
-    if bad:
-        raise InvalidParameters(f"flip indices {bad} outside [{lo}, {hi}] for k={k}, n={n}")
+    check_int("build_gamma", "k", k, 2, _DELTA_MEMO_BITS // 2)
+    check_int("build_gamma", "n", n, 2 * k)
+    indices = tuple(indices)
+    for i in indices:  # before sorting: mixed types do not sort
+        check_int("build_gamma", "index", i, 3, n - 4 * k + 3)
     delta = build_delta(2 * k - 1, n)
     removed: set[Face] = set()
     added: set[Face] = set()
-    for i in indices:
+    for i in sorted(set(indices)):
         pair = fg_pair(k, i)
         for face_a, face_b in ((pair.f, pair.g), (antipode_face(pair.f), antipode_face(pair.g))):
             star, replacement = _flip_edit(delta, face_a, face_b)

@@ -34,7 +34,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .core import Complex, fh_vectors, is_cs, sort_face
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, check_int
 
 VertexMap = dict[int, int]
 Form = tuple[tuple[int, ...], ...]
@@ -154,6 +154,8 @@ def isomorphic(a: Complex, b: Complex, budget: int | None = None) -> VertexMap |
     None is a certificate: the canonical forms differ.  `budget` bounds the
     search tree of each complex; exceeding it raises.
     """
+    if budget is not None:
+        check_int("isomorphic", "budget", budget, 0)
     if len(a.vertices()) != len(b.vertices()) or len(a.facets) != len(b.facets):
         return None
     ca, cb = _canon(a, budget), _canon(b, budget)
@@ -174,6 +176,8 @@ def automorphisms(c: Complex, budget: int | None = None) -> list[VertexMap]:
     Sorted deterministically by image sequence.  `budget` bounds both the
     search tree and the number of maps listed.
     """
+    if budget is not None:
+        check_int("automorphisms", "budget", budget, 0)
     verts = c.vertices()
     gens = _canon(c, budget).generators
     group = {tuple(range(len(verts)))}

@@ -16,10 +16,11 @@ to nonzero and whose "miss" rows AND to 0.  No face level is built.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Complex, Face, canon_face, face_key, is_cs
-from .errors import InvalidParameters
+from .errors import InvalidParameters, check_int
 
 
 def _least_set(options: Sequence[Sequence[tuple]], sizes: Iterable[int],
@@ -98,8 +99,7 @@ def cs_neighborliness(c: Complex, ground: Iterable[int] | None = None) -> Neighb
     else:
         labels = ground = tuple(ground)
     for g in labels:
-        if type(g) is not int or g <= 0:
-            raise InvalidParameters(f"ground must consist of positive labels, got {g!r}")
+        check_int("cs_neighborliness", "ground label", g, 1)
     if labels is ground:
         ground = sorted(set(ground))
     bits = c.facet_bits()
@@ -169,8 +169,10 @@ def enum_S(k: int, n: int) -> dict[int, frozenset[Face]]:
     i <= m, then the fixed tail pairs {n-2(k-i)-1, n-2(k-i)} for i > m; the
     two entries of each pair carry a common, independently chosen sign.
     """
-    if k < 1 or n < 2 * k:
-        raise InvalidParameters(f"enum_S requires k >= 1 and n >= 2k, got k={k}, n={n}")
+    check_int("enum_S", "k", k, 1, 20)  # 2^k members alone exceed 2^20 for k > 20
+    check_int("enum_S", "n", n, 2 * k)
+    if 2**k * sum(comb(n - 2 * k + 1, m) for m in range(1, k + 1)) > 2**20:
+        raise InvalidParameters(f"enum_S({k}, {n}) would list more than 2^20 members")
     by_m: dict[int, frozenset[Face]] = {}
     for m in range(1, k + 1):
         tail = [(n - 2 * (k - i) - 1, n - 2 * (k - i)) for i in range(m + 1, k + 1)]
@@ -195,6 +197,7 @@ def edge_link_census(c: Complex) -> dict[Face, int]:
 
 def census_at_least(census: dict[Face, int], threshold: int) -> list[Face]:
     """Edges whose link has at least `threshold` vertices, in canonical order."""
+    check_int("census_at_least", "threshold", threshold)
     return sorted((e for e, v in census.items() if v >= threshold), key=face_key)
 
 

@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple
 
 from .builders import build_delta, sew
 from .core import Complex, Face, canon_face, facet_ridge_graph
-from .errors import InvalidParameters
+from .errors import InvalidParameters, check_int
 
 MIN_N = 10
 
@@ -28,24 +28,19 @@ class _IndexSetFields(NamedTuple):
 
 class IndexSet(_IndexSetFields):
     """Sorted subset of [3, n-6]; when it has two or more elements the first
-    gap must exceed one.  `n` and the indices must be ints (bool refused); a
-    list of indices is read as its tuple."""
+    gap must exceed one.  A list of indices is read as its tuple."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, indices: tuple[int, ...]):
-        if type(n) is not int:
-            raise InvalidParameters(f"n must be an integer, got {n!r}")
-        if type(indices) is list:
-            indices = tuple(indices)
-        if type(indices) is not tuple or any(type(i) is not int for i in indices):
+        check_int("IndexSet", "n", n, MIN_N)
+        if type(indices) not in (tuple, list):
             raise InvalidParameters(f"indices must be a tuple of integers, got {indices!r}")
-        if n < MIN_N:
-            raise InvalidParameters(f"index sets need n >= {MIN_N}, got {n}")
+        indices = tuple(indices)
+        for i in indices:
+            check_int("IndexSet", "index", i, 3, n - 6)
         if tuple(sorted(set(indices))) != indices:
             raise InvalidParameters(f"indices must be strictly sorted, got {indices}")
-        if any(i < 3 or i > n - 6 for i in indices):
-            raise InvalidParameters(f"indices {indices} outside [3, {n - 6}]")
         if len(indices) >= 2 and indices[1] - indices[0] <= 1:
             raise InvalidParameters(f"first gap must exceed 1, got {indices[:2]}")
         return super().__new__(cls, n, indices)
@@ -56,9 +51,8 @@ class IndexSet(_IndexSetFields):
 
 
 def enum_I(n: int) -> list[IndexSet]:
-    """All admissible index sets for the given n, in lexicographic order."""
-    if n < MIN_N:
-        raise InvalidParameters(f"enum_I requires n >= {MIN_N}, got {n}")
+    """All 2^(n-9) + 1 admissible index sets, in lexicographic order; n <= MIN_N + 19."""
+    check_int("enum_I", "n", n, MIN_N, MIN_N + 19)
     pool = range(3, n - 5)
     out = []
     for size in range(0, len(pool) + 1):

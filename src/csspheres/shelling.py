@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .builders import _refuse_huge_delta, build_B
 from .core import Complex, Face, antipode_face, canon_face, facet_ridge_graph
-from .errors import InvalidParameters
+from .errors import InvalidParameters, check_int
 
 
 class ShellingOrder(NamedTuple):
@@ -83,8 +83,7 @@ def symmetric_shelling_delta3(n: int) -> tuple[Face, ...]:
     (k-3, ..., 1, -(k-3), ..., -1) * (k-2, k), then three closing facets.
     The second half lists the antipodes in reverse.
     """
-    if n < 4:
-        raise InvalidParameters(f"symmetric shelling defined for n >= 4, got {n}")
+    check_int("symmetric_shelling_delta3", "n", n, 4)
     _refuse_huge_delta(3, n)
     half: list[Face] = list(_b31_block(n))
     for k in range(n, 4, -1):
@@ -109,8 +108,7 @@ def shelling_B42(n: int) -> tuple[Face, ...]:
     antipodal ball block shells -B(3,1,n-1) and extends to a shelling of
     B(3,2,n-1).  Cone the two pieces over n and -n respectively.
     """
-    if n < 5:
-        raise InvalidParameters(f"shelling_B42 requires n >= 5, got {n}")
+    check_int("shelling_B42", "n", n, 5)
     m = n - 1
     reversed_order = symmetric_shelling_delta3(m)[::-1]
     block_size = 2 * m - 3  # facets of the 1-stacked ball block

@@ -67,15 +67,15 @@ def test_ball_refuses_a_huge_dimension_before_recursing():
     # one recursion step per dimension: B(21, 0, 22) is one facet, d >= 22 is refused at once
     assert len(build_B(21, 0, 22).facets) == 1
     for d in (22, 500, 10**9):
-        with pytest.raises(InvalidParameters, match=f"build_B requires d < 22, got d={d}$"):
+        with pytest.raises(InvalidParameters, match=f"build_B requires d <= 21, got {d}$"):
             build_B(d, 0, d + 1)
 
 
 def test_lambda_and_squeezed_family_refuse_small_parameters():
-    for d, n in [(0, 5), (3, 3)]:
-        with pytest.raises(InvalidParameters, match=f"build_lambda requires d >= 1 and n >= d\\+1, got d={d}, n={n}"):
+    for d, n, rule in [(0, 5, "d >= 1, got 0"), (3, 3, "n >= 4, got 3")]:
+        with pytest.raises(InvalidParameters, match=f"build_lambda requires {rule}$"):
             build_lambda(d, n)
-    with pytest.raises(InvalidParameters, match="squeezed family requires k >= 1 and n >= k\\+1, got k=0, n=5"):
+    with pytest.raises(InvalidParameters, match="squeezed_facet_family requires k >= 1, got 0$"):
         squeezed_facet_family(0, 5)
 
 

@@ -325,7 +325,7 @@ def test_cli_shell(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["shell", "delta3", "--n", "3"], "error: symmetric shelling defined for n >= 4, got 3"),
+        (["shell", "delta3", "--n", "3"], "error: symmetric_shelling_delta3 requires n >= 4, got 3"),
         (["shell", "b42", "--n", "4"], "error: shelling_B42 requires n >= 5, got 4"),
     ],
     ids=["delta3", "b42"],

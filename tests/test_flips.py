@@ -117,7 +117,7 @@ def test_gamma_neighborliness():
 
 def test_build_gamma_index_bounds():
     build_gamma(3, 13, (3, 4))  # [3, n-4k+3] is admissible
-    with pytest.raises(InvalidParameters, match=r"flip indices \[5\] outside \[3, 4\]"):
+    with pytest.raises(InvalidParameters, match="build_gamma requires index <= 4, got 5$"):
         build_gamma(3, 13, (5,))  # G_5 would need vertex 14
-    with pytest.raises(InvalidParameters, match=r"flip indices \[2\] outside \[3, 5\]"):
+    with pytest.raises(InvalidParameters, match="build_gamma requires index >= 3, got 2$"):
         build_gamma(2, 10, (2,))

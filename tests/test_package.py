@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,8 +100,15 @@ def test_records_keep_defaults_and_validation():
         IndexSet(12, (3,))._replace(indices=(3, 4))
     with pytest.raises(InvalidParameters):
         IndexSet(n=8, indices=())
-    for n, indices in [(12.0, (3,)), (True, (3,)), (12, (3.0,)), (12, (3, True)), (12, 3), (12, "3")]:
-        with pytest.raises(InvalidParameters, match="must be an integer|must be a tuple of integers"):
+    for n, indices, message in [
+        (12.0, (3,), "IndexSet requires n to be an int, got 12.0"),
+        (True, (3,), "IndexSet requires n to be an int, got True"),
+        (12, (3.0,), "IndexSet requires index to be an int, got 3.0"),
+        (12, (3, True), "IndexSet requires index to be an int, got True"),
+        (12, 3, "indices must be a tuple of integers, got 3"),
+        (12, "3", "indices must be a tuple of integers, got '3'"),
+    ]:
+        with pytest.raises(InvalidParameters, match=f"^{re.escape(message)}$"):
             IndexSet(n, indices)
     assert IndexSet(12, [3, 5]) == IndexSet(12, (3, 5))
     assert repr(IndexSet(12, (3,))) == "IndexSet(n=12, indices=(3,))"

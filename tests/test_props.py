@@ -4,6 +4,7 @@ conditions, guaranteed-facet families, and edge-link censuses."""
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -304,18 +305,27 @@ def test_all_facets_pass_necessary_conditions(k, n):
         assert facet_necessary_check(f), f
 
 
+_NO_INT = "cs_neighborliness requires ground label to be an int, got "
+_NOT_POSITIVE = "cs_neighborliness requires ground label >= 1, got "
+
+
 @pytest.mark.parametrize(
-    "ground",
-    [[True], [1, True], [2.5], ["3"], [None], [1, "3"], [(1,)], [-2], range(0, 3), range(2, -1, -1)],
+    "ground, message",
+    [
+        ([True], _NO_INT + "True"), ([1, True], _NO_INT + "True"), ([2.5], _NO_INT + "2.5"),
+        (["3"], _NO_INT + "'3'"), ([None], _NO_INT + "None"), ([1, "3"], _NO_INT + "'3'"),
+        ([(1,)], _NO_INT + "(1,)"), ([-2], _NOT_POSITIVE + "-2"), (range(0, 3), _NOT_POSITIVE + "0"),
+        (range(2, -1, -1), _NOT_POSITIVE + "0"),
+    ],
     ids=["True", "1_True", "float", "str", "None", "int_str", "tuple", "negative", "range_from_0", "range_down"],
 )
-def test_cs_neighborliness_refuses_a_ground_label_that_is_no_positive_int(ground):
-    with pytest.raises(InvalidParameters, match="ground must consist of positive labels"):
+def test_cs_neighborliness_refuses_a_ground_label_that_is_no_positive_int(ground, message):
+    with pytest.raises(InvalidParameters, match=f"^{re.escape(message)}$"):
         cs_neighborliness(build_delta(3, 6), ground)
 
 
 def test_neighborliness_and_stackedness_refuse_bad_input():
-    with pytest.raises(InvalidParameters, match="ground must consist of positive labels"):
+    with pytest.raises(InvalidParameters, match="cs_neighborliness requires ground label >= 1, got 0$"):
         cs_neighborliness(build_delta(3, 6), [0, 1])
     with pytest.raises(InvalidParameters, match="stackedness requires a pure complex"):
         stackedness(Complex([(1, 2, 3), (4,)], 4))

@@ -110,3 +110,93 @@ def test_closure_check_flags_a_closure_recursive_walk(tmp_path):
         "    return cyclic(0), acyclic(acyclic, 0)\n"
     )
     assert _closures_that_name_themselves(_nodes([path])) == ["walks.py:2"]
+
+
+def _untyped_caches(nodes) -> list[str]:
+    """`file:line` of each `functools` memo that is not built by
+    `functools.lru_cache(..., typed=True)`: a bare `functools.cache`, a
+    `lru_cache` without `typed=True`, or one imported by name, which this
+    check would not see."""
+    nodes = list(nodes)
+    typed = {
+        id(node.func) for _, node in nodes
+        if isinstance(node, ast.Call) and any(
+            k.arg == "typed" and isinstance(k.value, ast.Constant) and k.value.value is True
+            for k in node.keywords)
+    }
+    hits = []
+    for path, node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            bad = any(alias.name in ("cache", "lru_cache") for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            bad = node.attr == "cache" or (node.attr == "lru_cache" and id(node) not in typed)
+        else:
+            continue
+        if bad:
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_every_memo_is_keyed_by_type():
+    # An untyped memo finds 6.0 and True equal to 6 and 1, so a call with a
+    # float or a bool returns the entry of the int and skips the body's check.
+    hits = _untyped_caches(_library_nodes())
+    assert hits == [], f"memos not keyed by type: {hits}"
+
+
+def _int_type_tests(files) -> list[tuple[str, str | None, str]]:
+    """(file, innermost function, checked expression) of each
+    `type(x) is not int` and `isinstance(x, int)` in `files`."""
+    hits = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for func in ast.walk(tree):  # outer functions come first, inner ones overwrite
+            if isinstance(func, _FUNCTIONS):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                    and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+                    and any(isinstance(op, ast.IsNot) and isinstance(c, ast.Name) and c.id == "int"
+                            for op, c in zip(node.ops, node.comparators))):
+                subject = node.left.args[0]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and "int" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}):
+                subject = node.args[0]
+            else:
+                continue
+            hits.append((path.name, owner.get(node), ast.unparse(subject)))
+    return hits
+
+
+# The type checks that state rules of their own: a vertex label is a nonzero
+# int of either sign, and a file's declared dim is refused with ParseError.
+_OWN_INT_RULES = {("core.py", "canon_face", "v"), ("fileio.py", "_complex_file", "dim")}
+
+
+def test_only_check_int_tests_an_int_parameter():
+    # `errors.check_int` is the one check of an integer parameter's type and
+    # range; a check written by hand at a call site drifts from it.
+    files = [path for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"]
+    hits = [hit for hit in _int_type_tests(files) if hit not in _OWN_INT_RULES]
+    assert hits == [], f"int type checks outside errors.check_int: {hits}"
+
+
+def test_source_checks_flag_their_mutants(tmp_path):
+    path = tmp_path / "mutant.py"
+    path.write_text(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@functools.cache\n"
+        "def a(n):\n"
+        "    return n\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def b(n):\n"
+        "    return n\n"
+        "memo = functools.lru_cache(maxsize=None, typed=True)(a)\n"
+        "def enum_I(n):\n"
+        "    if type(n) is not int or not isinstance(n, int):\n"
+        "        raise ValueError(n)\n"
+    )
+    assert _untyped_caches(_nodes([path])) == ["mutant.py:2", "mutant.py:3", "mutant.py:6"]
+    assert _int_type_tests([path]) == [("mutant.py", "enum_I", "n")] * 2
