@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import Counter, defaultdict
+from collections import Counter
 from math import comb
 from types import MappingProxyType
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple
@@ -36,13 +36,20 @@ VOID_DIM = -2
 
 
 def vertex_key(v: int) -> tuple[int, bool]:
-    """Sort key realizing the canonical vertex order 1 < -1 < 2 < -2 < ..."""
+    """Sort key realizing the canonical vertex order 1 < -1 < 2 < -2 < ...
+
+    It orders labels that `canon_face` admits and checks nothing: a label
+    without `abs`, such as a `str` or `None`, raises `TypeError`, and a
+    float or a bool gets a key unchecked."""
     return (abs(v), v < 0)
 
 
 def face_key(face: Iterable[int]) -> tuple[int, ...]:
     """Sort key for faces: lexicographic in the canonical vertex order, each
-    label v ranked 2|v| + (v < 0), an int in the order of `vertex_key`."""
+    label v ranked 2|v| + (v < 0), an int in the order of `vertex_key`.
+
+    Like `vertex_key`, it orders labels that `canon_face` admits and checks
+    nothing: a label without `abs` raises `TypeError`."""
     return tuple(2 * abs(v) + (v < 0) for v in face)
 
 
@@ -517,22 +524,24 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool, bool
     """(f-vector, unreduced GF(2) Betti numbers, closed pseudomanifold,
     pseudomanifold) from one top-down pass.
 
-    The walk takes the facets in canonical order and numbers each lower face
-    where it first appears; facets of a smaller size join at their own
-    level.  A level is numbered in the same lazy pass that lists the
-    boundary rows of the level above, and only two levels are held at a
-    time.  The same loop reduces the boundary ranks top-down with clearing.
+    The walk takes the facets in canonical order and keys each lower face by
+    the position in the stream of subfaces where it first appears, so keys
+    rise in order of first appearance, with gaps; facets of a smaller size
+    join at their own level, keyed -1.  A level is keyed by one
+    `dict.setdefault` per subface in the same pass that lists the boundary
+    rows of the level above, and only two levels are held at a time.  The
+    same loop reduces the boundary ranks top-down with clearing.
     A face that leads a pivot of the boundary above has, since the boundary
     of a boundary is zero, the boundary of the sum of that pivot's other,
     earlier faces; so, by induction, its row lies in the span of the kept
     rows and is dropped before its subfaces are listed.  Every face below
     still lies in a kept face: one in none would have a 1 in a cleared row
-    and 0 in every kept row, outside their span.  Each kept row is passed
-    as its support, the indices of its faces in the level below, so an
-    apparent pivot is kept without a bitmask.
+    and 0 in every kept row, outside their span.  The kept rows go to
+    `gf2_pivots` as one flat list of the keys of their faces below, `card`
+    to a row; only the order of the keys matters there.
 
     A pure complex is a pseudomanifold when every ridge lies in at most two
-    facets, closed when in exactly two, read off the index counts of the top
+    facets, closed when in exactly two, read off the key counts of the top
     level, where nothing is cleared; the only ridge of a 0-dimensional
     complex is ∅, in every point.
     """
@@ -546,23 +555,22 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool, bool
     ranks = [0] * (top + 2)  # ranks[card]: rank of the boundary from card to card - 1
     closed, manifold = top == 1 and len(c.facets) == 2, top == 1 and len(c.facets) <= 2
     level: dict[Face, int] = {}
-    cleared: set[int] = set()
+    cleared: dict[int, object] = {}  # the leads of the boundary above
     for card in range(top, 0, -1):
-        for f in by_card.get(card, ()):
-            level[f] = len(level)
+        level.update(dict.fromkeys(by_card.get(card, ()), -1))
         counts[card] = len(level)
         if card == 1:
             break
-        below = defaultdict(itertools.count().__next__)
-        kept = map(operator.not_, map(cleared.__contains__, itertools.count()))
-        ids = map(below.__getitem__, _subfaces(itertools.compress(level, kept), card - 1))
+        below: dict[Face, int] = {}
+        kept = map(operator.not_, map(cleared.__contains__, level.values()))
+        subfaces = _subfaces(itertools.compress(level, kept), card - 1)
+        keys = list(map(below.setdefault, subfaces, itertools.count()))
         if card == top and c.is_pure:
-            ids = list(ids)
-            degrees = set(Counter(ids).values())
+            degrees = set(Counter(keys).values())
             closed, manifold = degrees == {2}, max(degrees) <= 2
             if closed:  # the rows sum to 0, so the last one reduces to 0
-                del ids[-card:]
-        cleared = set(gf2_pivots(zip(*[iter(ids)] * card)))
+                del keys[-card:]
+        cleared = gf2_pivots(keys, card)
         ranks[card] = len(cleared)
         level = below
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(1, top + 1))

@@ -1,31 +1,61 @@
 """Gaussian elimination over GF(2) on sparse 0/1 rows given by their supports.
 
-A row comes in as the tuple of its distinct column indices; one pivot is kept
-per leading index.  A row whose lead `max(support)` is still free is an
-apparent pivot, kept as that tuple with no arithmetic.  A row that must be
-reduced becomes an int bit vector, XORed at C speed with the mask of each
-pivot it meets and kept as a mask.  Masks rebuilt from kept tuples are
-dropped: nearly every boundary row is apparent, and masks as wide as the
-level below would dominate the memory.
+The rows come as one flat list of column keys, `width` to a row: row r is
+the slice `keys[r * width : (r + 1) * width]`, its distinct columns.  Only
+the order of the keys matters, never their size, so the keys may have gaps.
+One pivot is kept per leading key.  A row whose lead `max` is still free is
+an apparent pivot (as in Bauer's Ripser, 2021), kept as its row number with
+no arithmetic.  A row that must be reduced becomes a set of its keys plus a
+max-heap of them, negated, from which stale keys are popped lazily (the heap
+columns of PHAT, Bauer, Kerber, Reininghaus & Wagner, 2017); the keys of each
+pivot it meets are toggled in it one by one.  At each collision with a
+reduced pivot the shorter of the two rows is kept as that lead's pivot and
+the longer one reduced on, so the loop only runs over the shorter support:
+the lead set depends only on the row space and the column order, not on
+which of two rows of one lead is kept.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from heapq import heapify, heappop, heappush
+from typing import Sequence
 
 
-def gf2_pivots(rows: Iterable[tuple[int, ...]]) -> dict[int, tuple[int, ...] | int]:
-    """Reduce the supports in order; map each lead to its pivot, the input tuple
-    (lead `max`) or a reduced mask (lead `bit_length() - 1`); their number is the rank."""
-    pivots: dict[int, tuple[int, ...] | int] = {}
-    for row in rows:
-        lead = max(row) if row else -1
-        if lead in pivots:
-            row = sum(map((1).__lshift__, row))
-            while lead in pivots:
-                pivot = pivots[lead]
-                row ^= pivot if type(pivot) is int else sum(map((1).__lshift__, pivot))
-                lead = row.bit_length() - 1
-        if lead >= 0:
-            pivots[lead] = row
+def gf2_pivots(keys: Sequence[int], width: int) -> dict[int, int | set[int]]:
+    """Reduce the rows of `width` keys each in order; map each lead to its
+    pivot, a row number (an input row as it stands) or the set of keys of a
+    reduced row; their number is the rank."""
+    pivots: dict[int, int | set[int]] = {}
+    heaps: dict[int, list[int]] = {}  # the negated-key heap of each reduced pivot
+    for r, lead in enumerate(map(max, zip(*[iter(keys)] * width))):
+        pivot = pivots.setdefault(lead, r)
+        if pivot is r:  # a free lead: an apparent pivot
+            continue
+        row = keys[r * width : (r + 1) * width]
+        work, heap = set(row), [-k for k in row]
+        heapify(heap)
+        while True:
+            if type(pivot) is int:
+                support = keys[pivot * width : (pivot + 1) * width]
+            elif len(pivot) <= len(work):
+                support = pivot
+            else:  # keep the shorter row as the pivot, reduce the longer one
+                pivots[lead], work = work, pivot
+                heaps[lead], heap = heap, heaps[lead]
+                support = pivots[lead]
+            for k in support:
+                if k in work:
+                    work.remove(k)
+                else:
+                    work.add(k)
+                    heappush(heap, -k)
+            if not work:
+                break
+            while -heap[0] not in work:
+                heappop(heap)
+            lead = -heap[0]
+            pivot = pivots.setdefault(lead, work)
+            if pivot is work:
+                heaps[lead] = heap
+                break
     return pivots

@@ -11,7 +11,6 @@ cs-2-neighborly 3-sphere Delta(I) on V_{n+1}.
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping, NamedTuple
 
 from .builders import build_delta, sew
@@ -51,16 +50,29 @@ class IndexSet(_IndexSetFields):
 
 
 def enum_I(n: int) -> list[IndexSet]:
-    """All 2^(n-9) + 1 admissible index sets, in lexicographic order; n <= MIN_N + 19."""
+    """All 2^(n-9) + 1 admissible index sets, in lexicographic order; n <= MIN_N + 19.
+
+    The sets are walked in that order, each from the one before: extend by
+    the least admissible index (two past a lone first index, one past any
+    later one), or else, past the last index n - 6, drop it and raise the
+    index before.  Only admissible sets are met, so nothing is filtered or
+    sorted.
+    """
     check_int("enum_I", "n", n, MIN_N, MIN_N + 19)
-    pool = range(3, n - 5)
-    out = []
-    for size in range(0, len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            if size >= 2 and combo[1] - combo[0] <= 1:
-                continue
-            out.append(IndexSet(n=n, indices=combo))
-    return sorted(out, key=lambda s: s.indices)
+    last = n - 6
+    out = [IndexSet(n, ())]
+    combo = [3]
+    while combo:
+        out.append(IndexSet(n, tuple(combo)))
+        step = 2 if len(combo) == 1 else 1
+        if combo[-1] + step <= last:
+            combo.append(combo[-1] + step)
+            continue
+        if combo[-1] == last:
+            combo.pop()
+        if combo:
+            combo[-1] += 1
+    return out
 
 
 def _column_path(n: int) -> list[Face]:

@@ -340,6 +340,14 @@ def suspension(facets, poles: tuple[int, int]) -> set[tuple[int, ...]]:
     return {_face((*f, p)) for f in facets for p in poles}
 
 
+def admissible_index_sets(n: int) -> list[tuple[int, ...]]:
+    """Every subset of [3, n-6] whose first gap, when it has two elements or
+    more, exceeds one, found by filtering all subsets and sorted."""
+    pool = range(3, n - 5)
+    subsets = itertools.chain.from_iterable(itertools.combinations(pool, size) for size in range(len(pool) + 1))
+    return sorted(s for s in subsets if len(s) < 2 or s[1] - s[0] > 1)
+
+
 def facet_tree_edges(n: int, indices) -> set[frozenset[tuple[int, ...]]]:
     """Edges of the facet tree T(I) of the index set I = (i_1 < ... < i_m), as
     pairs of consecutive facets on the paths that the paper joins:

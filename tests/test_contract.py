@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csspheres
 from csspheres import builders
 from csspheres.builders import (
     build_B,
@@ -21,7 +22,7 @@ from csspheres.builders import (
     squeezed_ball,
     squeezed_facet_family,
 )
-from csspheres.core import Complex, canon_face, cone, from_walk, simplex
+from csspheres.core import Complex, canon_face, cone, face_key, from_walk, simplex, vertex_key
 from csspheres.errors import CsspheresError, InvalidParameters
 from csspheres.flips import build_gamma, fg_pair
 from csspheres.iso import automorphisms, isomorphic
@@ -121,6 +122,18 @@ def test_a_float_or_bool_size_is_refused_whatever_is_cached():
         build_delta(True, 4)  # at the parent, the cycle Delta(1, 4)
     with pytest.raises(InvalidParameters, match=re.escape("fg_pair requires i to be an int, got 4.0")):
         fg_pair(3, 4.0)  # at the parent, float labels
+
+
+def test_sort_keys_check_nothing_and_stay_exported():
+    # as their docstrings say: a label without `abs` is a TypeError, and
+    # neither key is a check that a label is admitted
+    assert {"vertex_key", "face_key"} <= set(csspheres.__all__)
+    for bad in ("3", None):
+        with pytest.raises(TypeError):
+            vertex_key(bad)
+        with pytest.raises(TypeError):
+            face_key([1, bad])
+    assert vertex_key(-3) == (3, True) and face_key((1, -1, 2)) == (2, 3, 4)
 
 
 def test_build_gamma_checks_its_indices_before_sorting_them():

@@ -436,13 +436,19 @@ def _support(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _as_mask(row) -> int:
-    """A pivot or a support as a bitmask."""
-    return row if type(row) is int else sum(1 << i for i in row)
+def _as_mask(support) -> int:
+    """A support as a bitmask."""
+    return sum(1 << i for i in support)
 
 
-def _lead(pivot) -> int:
-    return pivot.bit_length() - 1 if type(pivot) is int else max(pivot)
+def _flat(rows) -> list[int]:
+    """Rows of one width as the flat key list that gf2_pivots reads."""
+    return list(itertools.chain.from_iterable(rows))
+
+
+def _pivot_support(pivot, keys: list[int], width: int):
+    """The keys of a pivot: its input row, given by number, or a reduced row's set."""
+    return keys[pivot * width : (pivot + 1) * width] if type(pivot) is int else pivot
 
 
 def test_gf2_rank_small_cases():
@@ -457,7 +463,10 @@ def test_gf2_rank_small_cases():
         (triangle, 2),
     ]
     for rows, rank in cases:
-        assert len(gf2_pivots(map(_support, rows))) == gf2_rank(rows) == rank, rows
+        supports = list(map(_support, rows))
+        width = len(supports[0]) if supports else 1
+        assert {len(row) for row in supports} <= {width}
+        assert len(gf2_pivots(_flat(supports), width)) == gf2_rank(rows) == rank, rows
 
 
 def test_top_h_entry_tracks_euler():
@@ -512,6 +521,11 @@ ORACLE_COMPLEXES = {
     "void": lambda: Complex([], 3),
     "empty_face": lambda: Complex([()], 3),
     "non_pure": lambda: Complex(NON_PURE_FACETS, 6),
+    # homology-heavy: in the 2-skeleton 286 rows reduce to 0 against input
+    # rows; in the random 3-complex reduced rows also meet longer reduced
+    # pivots, which the reduction swaps for the shorter row (beta_3 = 533)
+    "skeleton2_14": lambda: Complex(itertools.combinations(range(1, 15), 3), 14),
+    "random3_20": lambda: Complex(random.Random(1).sample(list(itertools.combinations(range(1, 21), 4)), 1500), 20),
 }
 
 
@@ -704,34 +718,66 @@ def test_face_membership_matches_closure_oracle(facets_a, facets_b, face):
     assert set(b._cache) <= {"facet_bits", "vertices"}, list(b._cache)
 
 
-def _reduces_to_zero(row: int, pivots: dict) -> bool:
-    while row and row.bit_length() - 1 in pivots:
-        row ^= _as_mask(pivots[row.bit_length() - 1])
+def _reduces_to_zero(row: int, masks: dict[int, int]) -> bool:
+    while row and row.bit_length() - 1 in masks:
+        row ^= masks[row.bit_length() - 1]
     return row == 0
 
 
-def _check_pivots(rows: list[int]) -> None:
-    """gf2_pivots on the supports of the mask rows, against the oracle."""
-    pivots = gf2_pivots(map(_support, rows))
-    assert all(_lead(pivot) == lead for lead, pivot in pivots.items())
-    assert len({_lead(pivot) for pivot in pivots.values()}) == len(pivots)
-    assert gf2_rank(rows) == len(pivots)
+def _check_pivots(rows: list[list[int]], width: int) -> None:
+    """gf2_pivots on rows of `width` distinct keys each, against the oracle."""
+    keys = _flat(rows)
+    pivots = gf2_pivots(keys, width)
+    masks = {lead: _as_mask(_pivot_support(pivot, keys, width)) for lead, pivot in pivots.items()}
+    assert all(mask.bit_length() - 1 == lead for lead, mask in masks.items())
+    assert len({mask.bit_length() - 1 for mask in masks.values()}) == len(pivots)
+    assert gf2_rank(list(map(_as_mask, rows))) == len(pivots)
     # the pivots span every input row, and are independent by their distinct leads
-    assert all(_reduces_to_zero(row, pivots) for row in rows)
+    assert all(_reduces_to_zero(_as_mask(row), masks) for row in rows)
+
+
+def _rows_of_width(width: int, columns: int, **size) -> st.SearchStrategy[list[list[int]]]:
+    """Lists of rows of `width` distinct keys below `columns`, in any order within a row."""
+    return st.lists(st.lists(st.integers(0, columns - 1), min_size=width, max_size=width, unique=True), **size)
+
+
+fixed_width_rows = st.integers(1, 6).flatmap(lambda w: st.tuples(st.just(w), _rows_of_width(w, 12, max_size=20)))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**12 - 1), max_size=20))
-def test_gf2_pivots_are_keyed_by_their_leading_bit(rows):
-    _check_pivots(rows)
+@given(fixed_width_rows)
+def test_gf2_pivots_are_keyed_by_their_leading_bit(case):
+    width, rows = case
+    _check_pivots(rows, width)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**6 - 1), min_size=2, max_size=20))
-def test_gf2_pivots_reduce_rows_that_share_a_lead(lows):
-    # the rows with lead 6 after the first are reduced against masks rebuilt
-    # from the stored supports of the first and of the low rows
-    _check_pivots(lows + [1 << 6 | low for low in lows])
+@given(st.integers(1, 6).flatmap(lambda w: st.tuples(
+    st.just(w), _rows_of_width(w, 6, max_size=10), _rows_of_width(w - 1, 6, min_size=2, max_size=10))))
+def test_gf2_pivots_reduce_rows_that_share_a_lead(case):
+    # the rows with lead 6 after the first are reduced, against the input
+    # rows and the reduced rows kept below 6, keeping the shorter at a lead
+    width, lows, highs = case
+    _check_pivots(lows + [high + [6] for high in highs], width)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(fixed_width_rows)
+def test_gf2_pivots_depend_only_on_the_order_of_the_keys(case):
+    # a strictly increasing key map with gaps of 2^40 maps the leads and
+    # keeps the rank; a kernel whose work grows with the key values, as a
+    # bitmask over them does, breaks the memory bound or fails outright
+    width, rows = case
+    keys = _flat(rows)
+    near = gf2_pivots(keys, width)
+    tracemalloc.start()
+    try:
+        far = gf2_pivots([(k + 1) * 2**40 for k in keys], width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(far) == {(k + 1) * 2**40 for k in near} and len(far) == len(near)
+    assert peak < 64 * 2**10, peak
 
 
 def _boundary_supports(faces: list, order: dict, card: int) -> list[tuple[int, ...]]:
@@ -753,7 +799,7 @@ def test_clearing_leaves_boundary_ranks_unchanged(facets):
             random.Random(seed).shuffle(level)
         order = [{f: i for i, f in enumerate(level)} for level in by_card]
         for card in range(2, top):
-            above = gf2_pivots(_boundary_supports(by_card[card + 1], order[card], card + 1))
+            above = gf2_pivots(_flat(_boundary_supports(by_card[card + 1], order[card], card + 1)), card + 1)
             rows = list(map(_as_mask, _boundary_supports(by_card[card], order[card - 1], card)))
             kept = [row for i, row in enumerate(rows) if i not in above]
             assert gf2_rank(kept) == gf2_rank(rows), (seed, card)
@@ -814,16 +860,15 @@ def _sigma_12(c: Complex) -> Complex:
 def test_face_walk_fill_in_on_delta_7_12(monkeypatch, relabel, reduced):
     """The rows that gf2_pivots must reduce, level by level from the top,
     stay as few as the canonical facet order and first-appearance columns
-    make them: a row is reduced unless it is kept as its support."""
+    make them: a row is reduced unless it is kept as its row number."""
     c = build_delta(7, 12)
     if relabel:
         c = _sigma_12(c)
     counts = []
 
-    def counting(rows):
-        rows = list(rows)
-        pivots = gf2_pivots(rows)
-        counts.append(len(rows) - sum(type(p) is tuple for p in pivots.values()))
+    def counting(keys, width):
+        pivots = gf2_pivots(keys, width)
+        counts.append(len(keys) // width - sum(type(p) is int for p in pivots.values()))
         return pivots
 
     monkeypatch.setattr(core, "gf2_pivots", counting)
@@ -845,8 +890,8 @@ def test_face_walk_lists_the_subfaces_of_kept_faces_only(monkeypatch, relabel):
         listed.append(list(real_subfaces(handed[-1], card)))
         return iter(listed[-1])
 
-    def recording_pivots(rows):
-        pivots = gf2_pivots(rows)
+    def recording_pivots(keys, width):
+        pivots = gf2_pivots(keys, width)
         leads.append(set(pivots))
         return pivots
 
@@ -854,11 +899,14 @@ def test_face_walk_lists_the_subfaces_of_kept_faces_only(monkeypatch, relabel):
     monkeypatch.setattr(core, "gf2_pivots", recording_pivots)
     f = c.f_counts()
     top = len(f) - 1
-    # a level's faces are numbered in order of first appearance below the level above
+    # a level's faces are keyed by where they first appear in the subfaces of the level above
     for above, faces, pivots in zip(listed, handed[1:], leads):
-        order = list(dict.fromkeys(above))
-        cleared = {order[j] for j in pivots}
-        assert cleared.isdisjoint(faces) and cleared | set(faces) == set(order)
+        first = {}
+        for key, face in enumerate(above):
+            first.setdefault(face, key)
+        assert all(first[above[key]] == key for key in pivots)
+        cleared = {above[key] for key in pivots}
+        assert cleared.isdisjoint(faces) and cleared | set(faces) == set(above)
     ranks = {top - i: len(pivots) for i, pivots in enumerate(leads)}  # from card to card - 1
     total = sum(map(len, listed))
     assert total == sum(card * (f[card] - ranks.get(card + 1, 0)) for card in range(2, top + 1))

@@ -22,7 +22,7 @@ from csspheres.sew3 import (
     tree_canonical_code,
     tree_isomorphic,
 )
-from oracles import facet_tree_edges
+from oracles import admissible_index_sets, facet_tree_edges
 
 
 def test_enum_I_small():
@@ -31,6 +31,15 @@ def test_enum_I_small():
     assert len(enum_I(13)) >= 2 ** (13 - 9)
     with pytest.raises(InvalidParameters, match="enum_I requires n >= 10"):
         enum_I(9)
+
+
+@pytest.mark.parametrize("n", range(10, 19))
+def test_enum_I_matches_its_definition(n):
+    # walked in order with the first-gap rule built in, against a filter of
+    # every subset of the pool, sorted
+    sets = enum_I(n)
+    assert [s.indices for s in sets] == admissible_index_sets(n)
+    assert len(sets) == 2 ** (n - 9) + 1 and all(s.n == n for s in sets)
 
 
 def test_index_set_validation():

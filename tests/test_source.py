@@ -182,6 +182,38 @@ def test_only_check_int_tests_an_int_parameter():
     assert hits == [], f"int type checks outside errors.check_int: {hits}"
 
 
+_BITMASK_NAMES = {"__lshift__", "lshift", "bit_length"}
+
+
+def _bitmask_ops(nodes) -> list[str]:
+    """`file:line` of each left shift (`<<`, `<<=`) and of each name,
+    attribute or string `__lshift__`, `lshift` or `bit_length`: what
+    building an int bitmask or reading its lead takes."""
+    hits = []
+    for path, node in nodes:
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            bad = isinstance(node.op, ast.LShift)
+        elif isinstance(node, ast.Attribute):
+            bad = node.attr in _BITMASK_NAMES
+        elif isinstance(node, ast.Name):
+            bad = node.id in _BITMASK_NAMES
+        elif isinstance(node, ast.Constant):
+            bad = node.value in _BITMASK_NAMES
+        else:
+            continue
+        if bad:
+            hits.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(hits)]
+
+
+def test_gf2_builds_no_int_bitmask():
+    # The reduction's cost must depend only on the order of the column keys,
+    # which are stream positions with gaps; a bitmask over them costs time
+    # and memory in their size.
+    hits = _bitmask_ops(_nodes([SRC / "gf2.py"]))
+    assert hits == [], f"int bitmask operations in gf2.py: {hits}"
+
+
 def test_source_checks_flag_their_mutants(tmp_path):
     path = tmp_path / "mutant.py"
     path.write_text(
@@ -197,6 +229,11 @@ def test_source_checks_flag_their_mutants(tmp_path):
         "def enum_I(n):\n"
         "    if type(n) is not int or not isinstance(n, int):\n"
         "        raise ValueError(n)\n"
+        "mask = 1 << 3\n"
+        "mask <<= 1\n"
+        "mask = sum(map((1).__lshift__, (1, 2)))\n"
+        "lead = mask.bit_length() - 1\n"
     )
     assert _untyped_caches(_nodes([path])) == ["mutant.py:2", "mutant.py:3", "mutant.py:6"]
     assert _int_type_tests([path]) == [("mutant.py", "enum_I", "n")] * 2
+    assert _bitmask_ops(_nodes([path])) == [f"mutant.py:{line}" for line in range(13, 17)]
