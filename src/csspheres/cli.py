@@ -147,13 +147,10 @@ def _verify_one(path: str, args) -> list[tuple[bool, str]]:
     if args.sphere or args.ball:
         report = core.topology_report(c)
         if args.sphere:
-            ok = report.is_sphere()
-            fh = core.fh_vectors(c)
-            symmetric = fh.h == fh.h[::-1]
-            results.append((ok and symmetric, f"{path} sphere report (betti={report.z2_betti}, h-symmetric={symmetric})"))
+            results.append((report.is_sphere(), f"{path} sphere report (betti={report.z2_betti}, "
+                            f"h-symmetric={report.h_symmetric})"))
         if args.ball:
-            ok = report.is_ball()
-            results.append((ok, f"{path} ball report (betti={report.z2_betti})"))
+            results.append((report.is_ball(), f"{path} ball report (betti={report.z2_betti})"))
     if args.stacked is not None:
         report = props.stackedness(c)
         ok = report.min_i == args.stacked

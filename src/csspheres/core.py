@@ -450,7 +450,9 @@ def facet_ridge_graph(c: Complex) -> dict[Face, tuple[Face, ...]]:
 
 
 class TopologyReport(NamedTuple):
-    """Cheap desk-scale sanity report: pseudomanifold checks plus GF(2) homology."""
+    """Cheap desk-scale sanity report: pseudomanifold checks, GF(2) homology, h-symmetry and,
+    for a candidate ball, the sphere verdict of its boundary.  `is_sphere` and `is_ball` are the
+    library's one sphere and one ball verdict: necessary conditions, no PL or manifold certificate."""
 
     pure: bool
     connected: bool
@@ -458,9 +460,11 @@ class TopologyReport(NamedTuple):
     euler: int
     z2_betti: tuple[int, ...]
     pseudomanifold: bool
+    h_symmetric: bool
+    boundary_sphere: bool
 
     def is_sphere(self) -> bool:
-        """Betti/pseudomanifold profile of a d-sphere (d >= 0).
+        """Betti/pseudomanifold profile of a d-sphere (d >= 0), h-symmetric.
 
         The profile's beta_0 fixes connectivity: one component for d >= 1,
         the two points of S^0 for d = 0.
@@ -470,23 +474,28 @@ class TopologyReport(NamedTuple):
             self.pure
             and self.closed_pseudomanifold
             and self.z2_betti == tuple((i == 0) + (i == d) for i in range(d + 1))
+            and self.h_symmetric
         )
 
     def is_ball(self) -> bool:
-        """Betti profile of a d-ball on a pseudomanifold (contractible, not closed)."""
+        """Betti profile of a d-ball on a pseudomanifold whose boundary passes `is_sphere`."""
         d = len(self.z2_betti) - 1
         return (
             self.pseudomanifold
             and not self.closed_pseudomanifold
             and self.z2_betti == tuple(1 if i == 0 else 0 for i in range(d + 1))
+            and self.boundary_sphere
         )
 
 
 def _edges_by_triangles(c: Complex) -> dict[Face, tuple[int, int]]:
-    """`Complex.edge_incidence` from the set of 3-subsets of the facets, kept
-    only while it is counted: each triangle counts once at each of its edges."""
-    links = Counter(_subfaces(set(_subfaces(c.facets, 3)), 2))
-    return {e: (links[e], k) for e, k in c._facet_degrees(2).items()}
+    """`Complex.edge_incidence` from the 3-subsets of the facets: each triangle counts once at each
+    of its edges.  In a closed 3-pseudomanifold (each triangle in two facets) the link of an edge
+    is a union of cycles, with as many vertices as edges, so its vertex count is the facet degree."""
+    triangles, degrees = Counter(_subfaces(c.facets, 3)), c._facet_degrees(2)
+    closed = c.dim == 3 and c.is_pure and set(triangles.values()) == {2}
+    links = degrees if closed else Counter(_subfaces(triangles, 2))
+    return {e: (links[e], k) for e, k in degrees.items()}
 
 
 def _edges_by_bitsets(c: Complex) -> dict[Face, tuple[int, int]]:
@@ -586,17 +595,21 @@ def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
 
 
 def topology_report(c: Complex) -> TopologyReport:
-    """Purity, connectivity (beta_0 = 1), closed-pseudomanifold check (pure,
-    every ridge has facet degree 2), Euler number, GF(2) Betti and
-    pseudomanifold check (pure, no ridge of facet degree above 2); all but
-    purity are read off the one memoised face walk."""
+    """Purity, connectivity (beta_0 = 1), closed-pseudomanifold check (pure, every ridge has facet
+    degree 2), Euler number, GF(2) Betti, h-symmetry and pseudomanifold check (pure, no ridge of facet
+    degree above 2), all but purity read off the one memoised face walk.  A candidate ball of dimension
+    >= 1 also walks its boundary, which is closed mod 2 and so asks for no boundary in turn."""
     f, betti, closed, manifold = c.memo("walk", _face_walk)
-    euler = sum((-1) ** i * fi for i, fi in enumerate(f[1:]))
-    return TopologyReport(
+    h = h_from_f(f)
+    report = TopologyReport(
         pure=c.is_pure,
         connected=not betti or betti[0] == 1,
         closed_pseudomanifold=closed,
-        euler=euler,
+        euler=sum((-1) ** i * fi for i, fi in enumerate(f[1:])),
         z2_betti=betti,
         pseudomanifold=manifold,
+        h_symmetric=h == h[::-1],
+        boundary_sphere=True,  # until is_ball() has checked the rest
     )
+    rim = report.is_ball() and (c.dim == 0 or topology_report(c.boundary()).is_sphere())
+    return report._replace(boundary_sphere=rim)

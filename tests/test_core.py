@@ -485,6 +485,101 @@ def test_top_h_entry_tracks_euler():
         assert fh.h[-1] == (-1) ** c.dim * (euler - 1), c
 
 
+def _oracle_sphere(facets) -> bool:
+    """The sphere verdict from the oracles alone: pure, every ridge in two
+    facets, the GF(2) Betti numbers of a d-sphere and a symmetric h-vector."""
+    sizes = {len(f) for f in facets}
+    if len(sizes) != 1 or sizes == {0}:
+        return False
+    d = sizes.pop() - 1
+    h = h_vector(f_vector(facets))
+    return (
+        set(coface_counts(facets, d).values()) == {2}
+        and z2_betti(facets) == tuple((i == 0) + (i == d) for i in range(d + 1))
+        and h == h[::-1]
+    )
+
+
+def _oracle_ball(facets) -> bool:
+    """The ball verdict from the oracles alone: pure, every ridge in one or two
+    facets and some in one, the GF(2) Betti numbers of a point, and a rim
+    (the ridges in one facet) that passes `_oracle_sphere`; a point has the
+    rim {∅} and is a ball."""
+    sizes = {len(f) for f in facets}
+    if len(sizes) != 1 or sizes == {0}:
+        return False
+    d = sizes.pop() - 1
+    degrees = coface_counts(facets, d)
+    rim = [r for r, k in degrees.items() if k == 1]
+    return (
+        max(degrees.values()) <= 2
+        and bool(rim)
+        and z2_betti(facets) == (1,) + (0,) * d
+        and (d == 0 or _oracle_sphere(rim))
+    )
+
+
+OCTAHEDRON = cross_polytope(3).facets
+# (facets, sphere verdict, ball verdict); the random complexes below rarely
+# meet a sphere of dimension 1 or more
+VERDICT_CASES = {
+    "bowtie": ([(1, 2, 3), (1, 4, 5)], False, False),
+    "two_tetrahedra": ([(1, 2, 3, 4), (1, 5, 6, 7)], False, False),
+    # glued at 1 and -1: a closed pseudomanifold with Betti (1, 1, 2)
+    "two_octahedra": ([*OCTAHEDRON, *(tuple({2: 4, -2: -4, 3: 5, -3: -5}.get(v, v) for v in f)
+                                       for f in OCTAHEDRON)], False, False),
+    "point": ([(1,)], False, True),
+    "s0": ([(1,), (-1,)], True, False),
+    "path": ([(1, 2), (2, 3), (3, 4)], False, True),
+    "triangle": ([(1, 2), (2, 3), (1, 3)], True, False),
+    "strip": ([(1, 2, 3), (2, 3, 4), (3, 4, 5)], False, True),
+    "torus": (sorted(_torus().facets), False, False),
+    "rp2": (RP2_FACETS, False, False),
+    "theta": (THETA_FACETS, False, False),
+    "octahedron": (sorted(OCTAHEDRON), True, False),
+    # sewn along two facets that share only -1: closed, Betti (1, 0, 0, 0, 1),
+    # h = (1, 7, 18, 12, 9, 1); up to dimension 3 closedness and Betti force h-symmetry
+    "asymmetric_h": (sorted(sew(cross_polytope(5), Complex([(-1, -2, -3, -4, -5), (-1, -2, 3, 4, 5)], 5)).facets),
+                     False, False),
+    "B316": (sorted(build_B(3, 1, 6).facets), False, True),
+}
+
+
+@pytest.mark.parametrize("facets, sphere, ball", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
+def test_verdicts_on_named_complexes(facets, sphere, ball):
+    report = topology_report(Complex(facets, 7))
+    assert (report.is_sphere(), report.is_ball()) == (sphere, ball)
+    assert (_oracle_sphere(facets), _oracle_ball(facets)) == (sphere, ball)
+
+
+# pure complexes of dimension 0 to 3 on ±{1..3} and 4, 5
+pure_complexes = st.integers(1, 4).flatmap(lambda card: st.lists(
+    st.sets(st.sampled_from([1, -1, 2, -2, 3, -3, 4, 5]), min_size=card, max_size=card).map(tuple),
+    min_size=1, max_size=10))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pure_complexes)
+def test_verdicts_match_their_oracles(facets):
+    c = Complex(facets, 5)
+    report = topology_report(c)
+    assert report.is_sphere() == _oracle_sphere(c.facets)
+    assert report.is_ball() == _oracle_ball(c.facets)
+
+
+def test_sphere_verdict_misses_a_pinched_vertex_link():
+    # The gap a vertex-link level would close: sewn along two tetrahedra that
+    # share only vertex -5, the sphere has sphere homology and a symmetric
+    # h-vector, but the link of 9 is two 2-spheres joined at a point.
+    ball = Complex([(-5, -6, -7, -8), (-4, -5, 6, 8)], 8)
+    assert not topology_report(ball).is_ball()
+    c = sew(build_delta(3, 8), ball)
+    assert len(c.facets) == 108 and fh_vectors(c).h == (1, 14, 78, 14, 1)
+    assert topology_report(c).is_sphere()
+    link = topology_report(c.link((9,)))
+    assert link.z2_betti == (1, 0, 2) and not link.is_sphere()
+
+
 def test_projective_plane_z2_homology():
     rep = topology_report(Complex(RP2_FACETS, 6))
     assert rep.closed_pseudomanifold and rep.euler == 1
@@ -637,8 +732,12 @@ def test_antichain_reduction_of_half_a_sphere_and_the_other_halfs_ridges():
         (lambda: build_delta_I(enum_I(12)[3]), True),
         (lambda: build_gamma(3, 14, (3,)), True),
         (lambda: build_delta(3, 40), False),  # 80 vertices, 12 160 facet 3-subsets
+        # two 3-spheres on {1..5} and {1, 2, 6, 7, 8} sharing the edge 12, whose link is two
+        # triangles: a closed 3-pseudomanifold, where the link vertex count is the facet degree
+        (lambda: Complex([f for s in ((1, 2, 3, 4, 5), (1, 2, 6, 7, 8)) for f in itertools.combinations(s, 4)], 8),
+         True),
     ],
-    ids=["delta7_12", "delta_I", "gamma3_14", "delta3_40"],
+    ids=["delta7_12", "delta_I", "gamma3_14", "delta3_40", "pinched_edge"],
 )
 def test_edge_incidence_walks_agree_and_the_cheaper_one_runs(monkeypatch, make, by_bits):
     c = make()
@@ -666,6 +765,8 @@ def test_labels_beyond_the_ambient_bound_are_refused():
 @example([(1,), (-1,)])  # S^0: its one ridge, ∅, lies in both points
 @example([(1,), (2,), (-3,)])  # three points: ∅ lies in three
 @example([(1, 2), (2, 3), (1, 3), (3, 4)])  # ridge degrees 1 and 3 sum to twice the ridge count
+# a 3-sphere and a lone edge: every triangle lies in two facets, yet the edge has no link
+@example([*itertools.combinations((1, 2, 3, 4, 5), 4), (-1, -2)])
 def test_facet_degree_counts_match_closure_oracle(facets):
     # v is a link vertex of the edge e exactly when e ∪ {v} is a face, on impure complexes too
     c = Complex(facets, 5)

@@ -483,6 +483,37 @@ def test_cli_verify_ball_fails_off_a_pseudomanifold(tmp_path, capsys, text):
     assert capsys.readouterr().out.startswith("FAIL ")
 
 
+@pytest.mark.parametrize("text, betti", [("1 2 3\n1 4 5\n", (1, 0, 0)), ("1 2 3 4\n1 5 6 7\n", (1, 0, 0, 0))],
+                         ids=["bowtie", "two_tetrahedra"])
+def test_cli_verify_ball_fails_on_a_pinched_ball(tmp_path, capsys, text, betti):
+    # a contractible pseudomanifold whose boundary is two spheres sharing vertex 1
+    p = tmp_path / "c.txt"
+    p.write_text(text)
+    assert main(["verify", str(p), "--ball"]) == 1
+    assert capsys.readouterr().out == f"FAIL {p} ball report (betti={betti})\n"
+
+
+# `verify --sphere` and `verify --ball` on the valid fuzz_files, byte for byte
+VERDICT_LINES = {
+    "cross3.json": ("PASS", "(betti=(1, 0, 1), h-symmetric=True)", "FAIL", "(betti=(1, 0, 1))"),
+    "delta36.txt": ("PASS", "(betti=(1, 0, 0, 1), h-symmetric=True)", "FAIL", "(betti=(1, 0, 0, 1))"),
+    "ball316.json": ("FAIL", "(betti=(1, 0, 0, 0), h-symmetric=False)", "PASS", "(betti=(1, 0, 0, 0))"),
+    "squeezed24.json": ("FAIL", "(betti=(1, 0, 0, 0), h-symmetric=False)", "PASS", "(betti=(1, 0, 0, 0))"),
+    "lambda14w.txt": ("PASS", "(betti=(1, 1), h-symmetric=True)", "FAIL", "(betti=(1, 1))"),
+    "huge-n.txt": ("PASS", "(betti=(2,), h-symmetric=True)", "FAIL", "(betti=(2,))"),
+}
+
+
+def test_cli_verify_sphere_and_ball_lines_on_the_fuzz_files(fuzz_files, capsys):
+    valid, _, _ = fuzz_files
+    assert [Path(p).name for p in valid] == list(VERDICT_LINES)
+    for path, (sphere, sphere_tail, ball, ball_tail) in zip(valid, VERDICT_LINES.values()):
+        for flag, verdict, line in [("--sphere", sphere, f"{path} sphere report {sphere_tail}"),
+                                    ("--ball", ball, f"{path} ball report {ball_tail}")]:
+            assert main(["verify", path, flag]) == (verdict == "FAIL")
+            assert capsys.readouterr().out == f"{verdict} {line}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "cross", "--n", "40"],
     ["build", "delta", "--d", "40", "--n", "41"],

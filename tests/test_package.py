@@ -63,7 +63,8 @@ def _records():
         FHVectors: (fh_vectors(sphere), ("f", "h")),
         TopologyReport: (
             topology_report(sphere),
-            ("pure", "connected", "closed_pseudomanifold", "euler", "z2_betti", "pseudomanifold"),
+            ("pure", "connected", "closed_pseudomanifold", "euler", "z2_betti", "pseudomanifold",
+             "h_symmetric", "boundary_sphere"),
         ),
         ComplexFile: (ComplexFile(sphere), ("complex", "space")),
         NeighborlinessReport: (cs_neighborliness(sphere), ("max_i", "witness")),

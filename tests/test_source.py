@@ -214,6 +214,39 @@ def test_gf2_builds_no_int_bitmask():
     assert hits == [], f"int bitmask operations in gf2.py: {hits}"
 
 
+_VERDICT_NAMES = {"fh_vectors", "h_from_f"}
+
+
+def _own_verdicts(nodes) -> list[str]:
+    """`file:line` of each name, attribute or imported name `fh_vectors` or
+    `h_from_f`, and of each comparison that reads a name holding "betti":
+    what a sphere or ball verdict of its own takes."""
+    hits = []
+    for path, node in nodes:
+        if isinstance(node, ast.Attribute):
+            bad = node.attr in _VERDICT_NAMES
+        elif isinstance(node, ast.Name):
+            bad = node.id in _VERDICT_NAMES
+        elif isinstance(node, ast.alias):
+            bad = node.name in _VERDICT_NAMES
+        elif isinstance(node, ast.Compare):
+            words = [n.attr if isinstance(n, ast.Attribute) else n.id
+                     for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name))]
+            bad = any("betti" in w for w in words)
+        else:
+            continue
+        if bad:
+            hits.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(hits)]
+
+
+def test_cli_computes_no_verdict_of_its_own():
+    # `core.TopologyReport` is the one home of the sphere and ball verdicts;
+    # a check added in the CLI makes `verify` stricter than every library caller.
+    hits = _own_verdicts(_nodes([SRC / "cli.py"]))
+    assert hits == [], f"topology verdicts computed in cli.py: {hits}"
+
+
 def test_source_checks_flag_their_mutants(tmp_path):
     path = tmp_path / "mutant.py"
     path.write_text(
@@ -233,7 +266,12 @@ def test_source_checks_flag_their_mutants(tmp_path):
         "mask <<= 1\n"
         "mask = sum(map((1).__lshift__, (1, 2)))\n"
         "lead = mask.bit_length() - 1\n"
+        "from .core import h_from_f\n"
+        "fh = core.fh_vectors(c)\n"
+        "ok = report.z2_betti == (1, 0)\n"
+        "ok = ok and betti[0] == 1\n"
     )
     assert _untyped_caches(_nodes([path])) == ["mutant.py:2", "mutant.py:3", "mutant.py:6"]
     assert _int_type_tests([path]) == [("mutant.py", "enum_I", "n")] * 2
     assert _bitmask_ops(_nodes([path])) == [f"mutant.py:{line}" for line in range(13, 17)]
+    assert _own_verdicts(_nodes([path])) == [f"mutant.py:{line}" for line in range(17, 21)]
