@@ -139,7 +139,8 @@ def sew(gamma: Complex, ball: Complex) -> Complex:
         raise InvalidParameters("ball shares facets with its antipode")
     v = gamma.ambient_n + 1
     rim = ball.boundary()
-    new_facets = set(gamma.facets) - ball.facets - neg.facets
+    new_facets = set(gamma.facets)
+    new_facets.difference_update(ball.facets, neg.facets)
     new_facets.update(f + (v,) for f in rim.facets)
     new_facets.update(antipode_face(f) + (-v,) for f in rim.facets)
     # v exceeds every old label in absolute value, so appending it keeps faces canonical

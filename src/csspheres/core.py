@@ -238,20 +238,29 @@ class Complex:
     def edge_incidence(self) -> Mapping[Face, tuple[int, int]]:
         """Read-only map from every edge to (link vertex count, facet degree).
 
-        Memoised.  A vertex v lies in the link of the edge e exactly when
-        e ∪ {v} is a triangle, so the link vertex count is the number of
-        triangles that contain e; the facet degree is the number of facets
-        that contain it.  The triangles are found by whichever of two walks
-        does less work: the facet bitsets test every vertex triple once,
-        the triangle count hashes every 3-subset of every facet, and one
-        test costs about a quarter of one hash.  Few vertices in large
-        facets take the bitsets (Δ(7,12): 24 vertices, 215 040 subsets),
-        many vertices in small facets the count (Δ(3,40): 80 and 12 160).
+        Memoised.  A vertex v lies in the link of the edge e exactly when e ∪ {v} is a triangle,
+        so the link vertex count is the number of triangles that contain e; the facet degree is
+        the number of facets that contain it.  In a closed 3-pseudomanifold an edge link is a union
+        of cycles, so the two agree and only the edges are counted; closedness is the ridge summary
+        `_ridge_flags`, the face walk's or else counted here from the triangles, which then also
+        serve the links.  Elsewhere the triangles are found by whichever of two walks does less
+        work: the facet bitsets test every vertex triple once, the triangle count hashes every
+        3-subset of every facet, and one test costs about a quarter of one hash.  Few vertices in
+        large facets take the bitsets (Δ(7,12): 24 vertices, 215 040 subsets), many vertices in
+        small facets the count (Δ(3,40): 80 and 12 160).
         """
         def build(c: Complex) -> Mapping[Face, tuple[int, int]]:
+            triangles: Counter[Face] = Counter()  # filled if the summary is counted here, for the links too
+            def count() -> Collection[int]:
+                triangles.update(_subfaces(c.facets, 3))
+                return triangles.values()
+
+            if c.dim == 3 and c.is_pure and _ridge_flags(c, count)[0]:
+                return MappingProxyType({e: (k, k) for e, k in c._facet_degrees(2).items()})
             subsets = sum(map(comb, map(len, c.facets), itertools.repeat(3)))
-            walk = _edges_by_bitsets if len(c.vertices()) ** 3 <= 24 * subsets else _edges_by_triangles
-            return MappingProxyType(walk(c))
+            if len(c.vertices()) ** 3 <= 24 * subsets:
+                return MappingProxyType(_edges_by_bitsets(c))
+            return MappingProxyType(_edges_by_triangles(c, triangles or c._facet_degrees(3)))
 
         return self.memo("edges", build)
 
@@ -318,8 +327,8 @@ class Complex:
         if not self.is_pure:
             raise InvalidParameters("boundary requires a pure complex")
         degrees = self._facet_degrees(self.dim)
-        bad = next((r for r, k in degrees.items() if k > 2), None)
-        if bad is not None:
+        if degrees and not _ridge_flags(self, degrees.values)[1]:
+            bad = next(r for r, k in degrees.items() if k > 2)
             raise InvalidParameters(f"ridge {bad} lies in {degrees[bad]} facets")
         return Complex._derived([r for r, k in degrees.items() if k == 1], self.ambient_n)
 
@@ -452,7 +461,8 @@ def facet_ridge_graph(c: Complex) -> dict[Face, tuple[Face, ...]]:
 class TopologyReport(NamedTuple):
     """Cheap desk-scale sanity report: pseudomanifold checks, GF(2) homology, h-symmetry and,
     for a candidate ball, the sphere verdict of its boundary.  `is_sphere` and `is_ball` are the
-    library's one sphere and one ball verdict: necessary conditions, no PL or manifold certificate."""
+    library's one sphere and one ball verdict: necessary conditions, no PL or manifold certificate;
+    the two pseudomanifold flags are the ridge summary that the face walk fills (`_ridge_flags`)."""
 
     pure: bool
     connected: bool
@@ -488,14 +498,11 @@ class TopologyReport(NamedTuple):
         )
 
 
-def _edges_by_triangles(c: Complex) -> dict[Face, tuple[int, int]]:
-    """`Complex.edge_incidence` from the 3-subsets of the facets: each triangle counts once at each
-    of its edges.  In a closed 3-pseudomanifold (each triangle in two facets) the link of an edge
-    is a union of cycles, with as many vertices as edges, so its vertex count is the facet degree."""
-    triangles, degrees = Counter(_subfaces(c.facets, 3)), c._facet_degrees(2)
-    closed = c.dim == 3 and c.is_pure and set(triangles.values()) == {2}
-    links = degrees if closed else Counter(_subfaces(triangles, 2))
-    return {e: (links[e], k) for e, k in degrees.items()}
+def _edges_by_triangles(c: Complex, triangles: Counter[Face]) -> dict[Face, tuple[int, int]]:
+    """`Complex.edge_incidence` from `triangles`, the facet count of each triangle of `c`: each
+    triangle counts once at each of its edges."""
+    links = Counter(_subfaces(triangles, 2))
+    return {e: (links[e], k) for e, k in c._facet_degrees(2).items()}
 
 
 def _edges_by_bitsets(c: Complex) -> dict[Face, tuple[int, int]]:
@@ -529,9 +536,21 @@ def _edges_by_bitsets(c: Complex) -> dict[Face, tuple[int, int]]:
     return edges
 
 
-def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool, bool]:
-    """(f-vector, unreduced GF(2) Betti numbers, closed pseudomanifold,
-    pseudomanifold) from one top-down pass.
+def _ridge_flags(c: Complex, degrees: Callable[[], Collection[int]] | None = None) -> tuple[bool, bool]:
+    """Memoised ridge summary (closed pseudomanifold, pseudomanifold): `c` is pure, of dimension >= 0,
+    and each ridge (∅ for points) lies in exactly two, or at most two, facets.  `degrees()` gives the
+    ridges' facet degrees (by default a count of the facets) only to fill the memo, which keeps none."""
+    def build(c: Complex) -> tuple[bool, bool]:
+        if c.dim < 0 or not c.is_pure:
+            return False, False
+        kinds = set(degrees() if degrees else c._facet_degrees(c.dim).values())
+        return kinds == {2}, max(kinds) <= 2
+
+    return c.memo("ridges", build)
+
+
+def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(f-vector, unreduced GF(2) Betti numbers) from one top-down pass.
 
     The walk takes the facets in canonical order and keys each lower face by
     the position in the stream of subfaces where it first appears, so keys
@@ -549,20 +568,17 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool, bool
     `gf2_pivots` as one flat list of the keys of their faces below, `card`
     to a row; only the order of the keys matters there.
 
-    A pure complex is a pseudomanifold when every ridge lies in at most two
-    facets, closed when in exactly two, read off the key counts of the top
-    level, where nothing is cleared; the only ridge of a 0-dimensional
-    complex is ∅, in every point.
+    The key counts of the top level, where nothing is cleared, are the
+    ridges' facet degrees, which fill the ridge summary (`_ridge_flags`).
     """
     if c.is_void:
-        return (0,), (), False, False
+        return (0,), ()
     top = c.dim + 1
     by_card: dict[int, list[Face]] = {}
     for f in c.sorted_facets():  # the order only sets fill-in
         by_card.setdefault(len(f), []).append(f)
     counts = [1] + [0] * top
     ranks = [0] * (top + 2)  # ranks[card]: rank of the boundary from card to card - 1
-    closed, manifold = top == 1 and len(c.facets) == 2, top == 1 and len(c.facets) <= 2
     level: dict[Face, int] = {}
     cleared: dict[int, object] = {}  # the leads of the boundary above
     for card in range(top, 0, -1):
@@ -574,16 +590,13 @@ def _face_walk(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...], bool, bool
         kept = map(operator.not_, map(cleared.__contains__, level.values()))
         subfaces = _subfaces(itertools.compress(level, kept), card - 1)
         keys = list(map(below.setdefault, subfaces, itertools.count()))
-        if card == top and c.is_pure:
-            degrees = set(Counter(keys).values())
-            closed, manifold = degrees == {2}, max(degrees) <= 2
-            if closed:  # the rows sum to 0, so the last one reduces to 0
-                del keys[-card:]
+        if card == top and _ridge_flags(c, lambda: Counter(keys).values())[0]:
+            del keys[-card:]  # closed: the rows sum to 0, so the last one reduces to 0
         cleared = gf2_pivots(keys, card)
         ranks[card] = len(cleared)
         level = below
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(1, top + 1))
-    return tuple(counts), betti, closed, manifold
+    return tuple(counts), betti
 
 
 def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
@@ -597,9 +610,10 @@ def z2_betti_numbers(c: Complex) -> tuple[int, ...]:
 def topology_report(c: Complex) -> TopologyReport:
     """Purity, connectivity (beta_0 = 1), closed-pseudomanifold check (pure, every ridge has facet
     degree 2), Euler number, GF(2) Betti, h-symmetry and pseudomanifold check (pure, no ridge of facet
-    degree above 2), all but purity read off the one memoised face walk.  A candidate ball of dimension
-    >= 1 also walks its boundary, which is closed mod 2 and so asks for no boundary in turn."""
-    f, betti, closed, manifold = c.memo("walk", _face_walk)
+    degree above 2), read off the one memoised face walk and the ridge summary it fills.  A candidate
+    ball of dimension >= 1 also walks its boundary, closed mod 2 and so asking for no boundary."""
+    f, betti = c.memo("walk", _face_walk)
+    closed, manifold = _ridge_flags(c)
     h = h_from_f(f)
     report = TopologyReport(
         pure=c.is_pure,

@@ -48,6 +48,11 @@ class IndexSet(_IndexSetFields):
     def _make(cls, iterable):  # `_replace` builds through here, so it checks too
         return cls(*iterable)
 
+    @classmethod
+    def _trusted(cls, n: int, indices: tuple[int, ...]) -> "IndexSet":
+        """Trusted constructor for a set that is admissible by construction: no checks."""
+        return tuple.__new__(cls, (n, indices))
+
 
 def enum_I(n: int) -> list[IndexSet]:
     """All 2^(n-9) + 1 admissible index sets, in lexicographic order; n <= MIN_N + 19.
@@ -60,10 +65,10 @@ def enum_I(n: int) -> list[IndexSet]:
     """
     check_int("enum_I", "n", n, MIN_N, MIN_N + 19)
     last = n - 6
-    out = [IndexSet(n, ())]
+    out = [IndexSet._trusted(n, ())]
     combo = [3]
     while combo:
-        out.append(IndexSet(n, tuple(combo)))
+        out.append(IndexSet._trusted(n, tuple(combo)))
         step = 2 if len(combo) == 1 else 1
         if combo[-1] + step <= last:
             combo.append(combo[-1] + step)

@@ -726,29 +726,42 @@ def test_antichain_reduction_of_half_a_sphere_and_the_other_halfs_ridges():
 
 
 @pytest.mark.parametrize(
-    "make, by_bits",
+    "make, by_bits, cold, walked",
     [
-        (lambda: build_delta(7, 12), True),  # 24 vertices, 215 040 facet 3-subsets
-        (lambda: build_delta_I(enum_I(12)[3]), True),
-        (lambda: build_gamma(3, 14, (3,)), True),
-        (lambda: build_delta(3, 40), False),  # 80 vertices, 12 160 facet 3-subsets
+        (lambda: build_delta(7, 12), True, [], []),  # 24 vertices, 215 040 facet 3-subsets
+        (lambda: build_delta_I(enum_I(12)[3]), True, [3, 2], [2]),
+        (lambda: build_gamma(3, 14, (3,)), True, [], []),
+        (lambda: build_delta(3, 40), False, [3, 2], [2]),  # 80 vertices, 12 160 facet 3-subsets
         # two 3-spheres on {1..5} and {1, 2, 6, 7, 8} sharing the edge 12, whose link is two
         # triangles: a closed 3-pseudomanifold, where the link vertex count is the facet degree
         (lambda: Complex([f for s in ((1, 2, 3, 4, 5), (1, 2, 6, 7, 8)) for f in itertools.combinations(s, 4)], 8),
-         True),
+         True, [3, 2], [2]),
+        # 3-balls, not closed: a cold one counts its triangles once, for the summary and the links
+        (lambda: build_B(3, 1, 40), False, [3, 2, 2], [3, 2, 2]),
+        (lambda: Complex(list(itertools.combinations((1, 2, 3, 4, 5), 4))[1:], 5), True, [3], []),
     ],
-    ids=["delta7_12", "delta_I", "gamma3_14", "delta3_40", "pinched_edge"],
+    ids=["delta7_12", "delta_I", "gamma3_14", "delta3_40", "pinched_edge", "ball3_40", "ball3_5"],
 )
-def test_edge_incidence_walks_agree_and_the_cheaper_one_runs(monkeypatch, make, by_bits):
+def test_edge_incidence_walks_agree_and_the_cheaper_one_runs(monkeypatch, make, by_bits, cold, walked):
     c = make()
-    by_triangles = core._edges_by_triangles(Complex(c.facets, c.ambient_n))
+    by_triangles = core._edges_by_triangles(Complex(c.facets, c.ambient_n), c._facet_degrees(3))
     assert by_triangles == core._edges_by_bitsets(Complex(c.facets, c.ambient_n))
 
-    def not_this_walk(_):
+    def not_this_walk(*_):
         raise AssertionError("the costlier edge walk ran")
 
     monkeypatch.setattr(core, "_edges_by_triangles" if by_bits else "_edges_by_bitsets", not_this_walk)
+    listed = []  # the card of each `_subfaces` call: 3 lists the facet 3-subsets, 2 the edges
+    real_subfaces = core._subfaces
+    monkeypatch.setattr(core, "_subfaces", lambda faces, card: listed.append(card) or real_subfaces(faces, card))
     assert dict(Complex(c.facets, c.ambient_n).edge_incidence()) == by_triangles
+    assert listed == cold
+    # after the walk has filled the ridge summary, a closed 3-sphere lists no facet 3-subset
+    c = Complex(c.facets, c.ambient_n)
+    topology_report(c)
+    listed.clear()
+    assert dict(c.edge_incidence()) == by_triangles
+    assert listed == walked
 
 
 def test_labels_beyond_the_ambient_bound_are_refused():
@@ -775,7 +788,7 @@ def test_facet_degree_counts_match_closure_oracle(facets):
     want = {e: (k, sum(1 for f in tops if set(e) <= f)) for e, k in links.items()}
     assert dict(c.edge_incidence()) == want
     # both triangle walks, whichever edge_incidence picked
-    assert core._edges_by_bitsets(c) == core._edges_by_triangles(c) == want
+    assert core._edges_by_bitsets(c) == core._edges_by_triangles(c, c._facet_degrees(3)) == want
     if not c.is_pure:
         assert not topology_report(c).pseudomanifold
         return
@@ -787,6 +800,61 @@ def test_facet_degree_counts_match_closure_oracle(facets):
     else:
         assert c.boundary().facets == {r for r, k in ridges.items() if k == 1}
     assert topology_report(c).closed_pseudomanifold == (c.dim >= 0 and all(k == 2 for k in ridges.values()))
+
+
+def _ridge_oracle(facets) -> tuple[bool, bool]:
+    """(closed pseudomanifold, pseudomanifold) from the closure: pure, of dimension >= 0, and each
+    ridge in exactly two, or at most two, facets."""
+    sizes = {len(f) for f in maximal_faces(facets)}
+    if len(sizes) != 1 or sizes == {0}:
+        return False, False
+    degrees = coface_counts(facets, sizes.pop() - 1).values()
+    return all(k == 2 for k in degrees), all(k <= 2 for k in degrees)
+
+
+pure_complexes = st.integers(1, 4).flatmap(lambda card: st.lists(
+    st.sets(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4, 5]), min_size=card, max_size=card).map(tuple),
+    max_size=10))
+
+SPHERE3 = list(itertools.combinations((1, 2, 3, 4, 5), 4))  # the boundary of the 4-simplex
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(small_complexes, pure_complexes))
+@example([])  # void
+@example([()])  # {∅}
+@example([(1,)])  # a point
+@example([(1,), (-1,)])  # S^0
+@example([(1,), (2,), (-3,)])  # three points
+@example([(1, 2, 3), (1, 4, 5)])  # the bowtie
+@example([(1, 2), (1, 3), (1, 4)])  # the tripod
+@example([f for s in ((1, 2, 3, 4, 5), (1, 2, 6, 7, 8)) for f in itertools.combinations(s, 4)])  # pinched_edge
+@example([*SPHERE3, (-1, -2)])  # a 3-sphere and a lone edge
+@example(SPHERE3)
+@example([(1, 2), (2, 3), (1, 3)])  # a circle
+def test_ridge_summary_matches_its_oracle_cold_walked_and_after_boundary(facets):
+    want = _ridge_oracle(facets)
+
+    def flags(c: Complex) -> tuple[bool, bool]:
+        report = topology_report(c)
+        return report.closed_pseudomanifold, report.pseudomanifold
+
+    cold = Complex(facets, 8)
+    assert core._ridge_flags(cold) == want and flags(cold) == want
+    # the walk fills the summary from its top level, from dimension 1 up
+    walked = Complex(facets, 8)
+    walked.f_counts()
+    assert walked._cache.get("ridges", want) == want and ("ridges" in walked._cache) == (walked.dim >= 1)
+    assert flags(walked) == want
+    # boundary() fills it from its own ridge count, unless it refuses an impure complex first
+    bounded = Complex(facets, 8)
+    try:
+        bounded.boundary()
+    except InvalidParameters:
+        assert not want[1]
+    assert bounded._cache.get("ridges", want) == want
+    assert ("ridges" in bounded._cache) == (bounded.is_pure and bounded.dim >= 0)
+    assert flags(bounded) == want
 
 
 # labels up to 6 (the complexes stop at 5) and up to 6 of them (facets hold 5)
@@ -922,7 +990,7 @@ def test_topology_report_then_fh_vectors_walk_the_faces_once(monkeypatch):
 
 
 # every memo key the library uses; a face level kept per size would add more
-MEMO_KEYS = {"dim", "pure", "vertices", "sorted_facets", "facet_bits", "cs", "walk", "edges", "iso.canon"}
+MEMO_KEYS = {"dim", "pure", "vertices", "sorted_facets", "facet_bits", "cs", "walk", "ridges", "edges", "iso.canon"}
 
 
 def test_no_face_level_is_memoised(monkeypatch):

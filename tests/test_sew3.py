@@ -42,6 +42,14 @@ def test_enum_I_matches_its_definition(n):
     assert len(sets) == 2 ** (n - 9) + 1 and all(s.n == n for s in sets)
 
 
+@pytest.mark.parametrize("n", [10, 14, 18, 22])
+def test_enum_I_members_recheck_through_the_checking_constructor(n):
+    # enum_I builds its sets unchecked; each must pass the checks it skipped
+    for s in enum_I(n):
+        assert type(s) is IndexSet and type(s.indices) is tuple
+        assert IndexSet(n, s.indices) == s and IndexSet(*s) == s
+
+
 def test_index_set_validation():
     IndexSet(12, (3, 5, 6))  # only the first gap is constrained
     with pytest.raises(InvalidParameters, match="first gap must exceed 1"):

@@ -247,6 +247,42 @@ def test_cli_computes_no_verdict_of_its_own():
     assert hits == [], f"topology verdicts computed in cli.py: {hits}"
 
 
+def _is_two(node) -> bool:
+    """The literal 2 or the set literal {2}."""
+    if isinstance(node, ast.Set) and len(node.elts) == 1:
+        node = node.elts[0]
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 2
+
+
+def _ridge_degree_tests(path) -> list[str]:
+    """`file:line` of each comparison `== 2`, `!= 2`, `== {2}`, `!= {2}` or
+    `<= 2` (`2 >= ...` too) outside the top-level function `_ridge_flags`:
+    what deriving "closed" or "pseudomanifold" from ridge degrees takes.
+    `> 2` stays allowed: `boundary()` uses it to name a ridge it refuses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {id(node) for func in tree.body if isinstance(func, _FUNCTIONS) and func.name == "_ridge_flags"
+               for node in ast.walk(func)}
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or id(node) in allowed:
+            continue
+        operands = [node.left, *node.comparators]
+        for left, op, right in zip(operands, node.ops, operands[1:]):
+            equal = isinstance(op, (ast.Eq, ast.NotEq)) and (_is_two(left) or _is_two(right))
+            at_most = (isinstance(op, ast.LtE) and _is_two(right)) or (isinstance(op, ast.GtE) and _is_two(left))
+            if equal or at_most:
+                hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_ridge_flags_are_derived_in_one_place():
+    # `core._ridge_flags` is the one home of the closed and pseudomanifold
+    # flags; the face walk, `boundary()` and `edge_incidence` hand it their
+    # ridge counts, and a second test of the degrees could drift from it.
+    hits = _ridge_degree_tests(SRC / "core.py")
+    assert hits == [], f"ridge degree tests outside core._ridge_flags: {hits}"
+
+
 def test_source_checks_flag_their_mutants(tmp_path):
     path = tmp_path / "mutant.py"
     path.write_text(
@@ -270,8 +306,15 @@ def test_source_checks_flag_their_mutants(tmp_path):
         "fh = core.fh_vectors(c)\n"
         "ok = report.z2_betti == (1, 0)\n"
         "ok = ok and betti[0] == 1\n"
+        "closed = set(degrees.values()) == {2}\n"
+        "manifold = max(degrees) <= 2 or 2 >= k\n"
+        "closed = top == 1 and len(c.facets) == 2\n"
+        "def _ridge_flags(c, kinds):\n"
+        "    return kinds == {2}, max(kinds) <= 2\n"
+        "wide = k > 2 or k == 3 or {2, 3} == kinds\n"
     )
     assert _untyped_caches(_nodes([path])) == ["mutant.py:2", "mutant.py:3", "mutant.py:6"]
     assert _int_type_tests([path]) == [("mutant.py", "enum_I", "n")] * 2
     assert _bitmask_ops(_nodes([path])) == [f"mutant.py:{line}" for line in range(13, 17)]
     assert _own_verdicts(_nodes([path])) == [f"mutant.py:{line}" for line in range(17, 21)]
+    assert _ridge_degree_tests(path) == [f"mutant.py:{line}" for line in (21, 22, 22, 23)]
